@@ -80,12 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bounds-only", action="store_true", help="sampling-free interval enclosure")
 
-    p = sub.add_parser("prep-intersect", help="certified common preperiodic points")
+    p = sub.add_parser("prep-intersect", help="exact common preperiodic points")
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--m-cap", type=int, default=3)
     p.add_argument("--n-cap", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("ordinary-check", help="epsilon-ordinary test for a pair")
     p.add_argument("f")
@@ -153,7 +152,7 @@ def _run(args) -> int:
     elif args.cmd == "prep-intersect":
         f = _poly_arg(args.f)
         g = _poly_arg(args.g)
-        cert = prep_intersect(f, g, args.m_cap, args.n_cap, args.tol)
+        cert = prep_intersect(f, g, args.m_cap, args.n_cap)
         _emit(cert.to_json())
     elif args.cmd == "ordinary-check":
         f = _poly_arg(args.f)

@@ -1,11 +1,15 @@
 """Desk-scale preperiodic points: the fast non-archimedean disjointness
-certificate, complex preperiodic clusters, certified intersections, and
-exact enumeration of rational preperiodic points.
+certificate, complex preperiodic clusters, exact shared preperiodic points,
+and exact enumeration of rational preperiodic points.
 
-A numeric cluster match is never reported as an intersection point on its
-own: rational candidates are re-certified by exact orbit checks, algebraic
-ones by reconstructing an integer minimal polynomial and verifying both
-canonical heights are below tolerance.
+The points that f and g share at caps (m, n) are exactly the roots of
+gcd(prod (f^m - f^n), prod (g^m' - g^n')) over Q.  `prep_intersect` screens
+that gcd modulo one 31-bit prime dividing no leading coefficient, where a
+trivial gcd mod p proves a trivial gcd over Q (Brown, JACM 1971).  A common
+factor found by the screen is lifted and checked exactly when it is one
+rational point, and otherwise computed over Z and factored with sympy,
+imported only then.  Every root of f^m - f^n is preperiodic, so no tolerance
+and no height check is involved.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .heights import AlgebraicPoint, canonical_height_alg, DegreeCapExceeded
 from .polynomials import MonicPoly, local_profile
-from .rationals import PlaceQ, factorize
+from .rationals import PlaceQ, factorize, is_prime
 
 __all__ = [
     "PrepCertificate",
@@ -40,7 +43,9 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CertifiedPoint:
-    """A certified common preperiodic point with residual heights."""
+    """The Galois orbit of common preperiodic points cut out by an irreducible
+    integer minimal polynomial (ascending coefficients), with the canonical
+    heights hf, hg of its points."""
 
     min_poly: Tuple[int, ...]
     hf: float
@@ -57,21 +62,17 @@ class PrepCertificate:
     points: Tuple[CertifiedPoint, ...]
     m_cap: int
     n_cap: int
-    tol: float
-    matched_clusters: int = 0
-    uncertified: int = 0
+    matched_clusters: int = 0  # shared points found: the sum of the min_poly degrees
     suspected_equal: bool = False
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "verdict": self.verdict,
             "witness_place": self.witness_place,
             "points": [p.to_json() for p in self.points],
             "caps": {"m": self.m_cap, "n": self.n_cap},
-            "tol": self.tol,
             "matched_clusters": self.matched_clusters,
-            "uncertified": self.uncertified,
             "suspected_equal": self.suspected_equal,
         }
 
@@ -102,35 +103,50 @@ def _only_constant_large(h: MonicPoly, p: int) -> bool:
     return all(c.denominator % p != 0 for c in h.coeffs[1:])
 
 
-def iterate_coeffs(f: MonicPoly, m: int) -> List[Fraction]:
-    """Ascending coefficients of the m-fold composition f^m."""
-    cur = [Fraction(c) for c in f.coeffs] + [Fraction(1)]
-    for _ in range(m - 1):
-        cur = _compose(f, cur)
-    return cur
+_DEGREE_BUDGET = 4096
 
 
-def _compose(f: MonicPoly, q: List[Fraction]) -> List[Fraction]:
-    """Coefficients of f(q(z)) by Horner over polynomial arithmetic."""
-    acc = [Fraction(1)]
-    for i in range(f.d - 1, -1, -1):
-        acc = _poly_mul(acc, q)
-        acc[0] += f.coeffs[i]
-    return acc
-
-
-def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj != 0:
-                out[i + j] += ai * bj
+def _mul(a: List[int], b: List[int]) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    nz = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nz:
+                out[i + j] += x * y
     return out
 
 
-_DEGREE_BUDGET = 4096
+def _iterates(f: MonicPoly, m_cap: int) -> List[Tuple[List[int], int]]:
+    """The iterates f^0, ..., f^m_cap exactly: f^k = P / E as (P, E) with P
+    ascending integer coefficients and E a positive integer."""
+    if f.d**m_cap > _DEGREE_BUDGET:
+        raise CapExceeded(f"degree {f.d ** m_cap} exceeds budget {_DEGREE_BUDGET}")
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    F = [int(c * den) for c in f.coeffs] + [den]  # f = F / den
+    out = [([0, 1], 1)]
+    for _ in range(m_cap):
+        P, E = out[-1]
+        # Horner in P / E, cleared of denominators: sum F_i P^i E^(d-i).
+        acc, e_pow = [F[-1]], 1
+        for c in reversed(F[:-1]):
+            e_pow *= E
+            acc = _mul(acc, P)
+            acc[0] += c * e_pow
+        k = gcd(den * e_pow, *acc)
+        out.append(([c // k for c in acc], den * e_pow // k))
+    return out
+
+
+def _difference(hi: Tuple[List[int], int], lo: Tuple[List[int], int]) -> List[int]:
+    """The primitive integer polynomial of f^m - f^n from two iterates, m > n;
+    its leading coefficient is positive."""
+    (P, E), (Q, G) = hi, lo
+    L = math.lcm(E, G)
+    out = [c * (L // E) for c in P]
+    for i, c in enumerate(Q):
+        out[i] -= c * (L // G)
+    k = gcd(*out)
+    return [c // k for c in out]
 
 
 def preperiodic_complex(
@@ -138,23 +154,15 @@ def preperiodic_complex(
 ) -> List[Tuple[complex, List[Tuple[int, int]]]]:
     """Numeric roots of f^m - f^n for all n < m <= m_cap, n <= n_cap,
     deduplicated at tolerance tol and tagged with every (m, n) they solve."""
-    if f.d**m_cap > _DEGREE_BUDGET:
-        raise CapExceeded(f"degree {f.d ** m_cap} exceeds budget {_DEGREE_BUDGET}")
-    iterates = {0: [Fraction(0), Fraction(1)]}
-    cur = [Fraction(0), Fraction(1)]
-    for m in range(1, m_cap + 1):
-        cur = _compose(f, cur)
-        iterates[m] = cur
+    iterates = _iterates(f, m_cap)
     clusters: List[Tuple[complex, List[Tuple[int, int]]]] = []
     for m in range(1, m_cap + 1):
         for n in range(0, min(n_cap, m - 1) + 1):
-            diff = list(iterates[m])
-            for i, c in enumerate(iterates[n]):
-                diff[i] -= c
-            arr = np.array([float(c) for c in reversed(diff)])
-            if not np.all(np.isfinite(arr)) or np.max(np.abs(arr)) > 1e280:
-                raise CapExceeded("iterate coefficients overflow float range")
-            roots = np.roots(arr)
+            diff = _difference(iterates[m], iterates[n])
+            try:
+                roots = np.roots([c / diff[-1] for c in reversed(diff)])
+            except OverflowError:
+                raise CapExceeded("iterate coefficients overflow float range") from None
             for r in roots:
                 for k, (rep, tags) in enumerate(clusters):
                     if abs(r - rep) <= tol:
@@ -252,107 +260,96 @@ def _divisors(n: int) -> List[int]:
     return sorted(divs)
 
 
-def _nearest_rational(z: complex, tol: float, max_den: int = 10**6) -> Optional[Fraction]:
-    if abs(z.imag) > tol:
-        return None
-    q = Fraction(z.real).limit_denominator(max_den)
-    if abs(complex(q) - z) <= 10 * tol:
-        return q
-    return None
+def _trim(a: List[int]) -> List[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _match_clusters(cf, cg, tol: float) -> List[Tuple[complex, Tuple[int, int], Tuple[int, int]]]:
+def _rem(a: List[int], b: List[int], p: int) -> List[int]:
+    """Remainder of a by b over GF(p); b is reduced with b[-1] != 0."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    while len(a) > db:
+        q = a[-1] * inv % p
+        if q:
+            shift = len(a) - 1 - db
+            for k in range(db):
+                a[shift + k] = (a[shift + k] - q * b[k]) % p
+        a.pop()
+    return _trim(a)
+
+
+def _gcd_mod(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic gcd over GF(p) of two integer polynomials (ascending)."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        a, b = b, _rem(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _is_root(a: List[int], x: Fraction) -> bool:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc == 0
+
+
+def _differences(f: MonicPoly, m_cap: int, n_cap: int) -> List[List[int]]:
+    """Primitive integer forms of f^(n+k) - f^n, n = min(n_cap, m_cap - k), for
+    k = 1..m_cap.  Since f^m(x) = f^n(x) implies f^(m+j)(x) = f^(n+j)(x), their
+    roots are those of f^m - f^n over the whole box n < m <= m_cap, n <= n_cap."""
+    iterates = _iterates(f, m_cap)
     out = []
-    for zf, tags_f in cf:
-        for zg, tags_g in cg:
-            if abs(zf - zg) <= tol:
-                out.append(((zf + zg) / 2.0, tags_f[0], tags_g[0]))
-                break
+    for k in range(1, m_cap + 1):
+        n = min(n_cap, m_cap - k)
+        out.append(_difference(iterates[n + k], iterates[n]))
     return out
 
 
-def _poly_divides(p: List[Fraction], q: List[Fraction]) -> bool:
-    """Exact test: does p divide q over Q (coefficients ascending)?"""
-    q = list(q)
-    dp = len(p) - 1
-    lc = p[-1]
-    while len(q) - 1 >= dp:
-        top = q.pop()
-        if top == 0:
-            continue
-        fac = top / lc
-        for k in range(dp):
-            q[len(q) - dp + k] -= fac * p[k]
-    return all(c == 0 for c in q)
+def _shared_min_polys(f: MonicPoly, g: MonicPoly, m_cap: int, n_cap: int) -> List[Tuple[int, ...]]:
+    """Integer minimal polynomials (ascending, primitive, positive leading
+    coefficient) of the points preperiodic for both f and g at the caps.
 
-
-def _certify_algebraic(
-    f: MonicPoly, g: MonicPoly, group, tol: float
-) -> Tuple[List[CertifiedPoint], int]:
-    """Certify matched non-rational points grouped by their iterate tags.
-
-    Each group's product prod (z - z_i) is rounded to a rational polynomial
-    (denominators up to 10^6), verified by exact division of the defining
-    iterate differences on both sides, split into irreducible factors, and
-    each factor certified by small canonical height under both maps.
+    They are the irreducible factors of gcd(prod A, prod B) over Q, where A
+    and B are the two maps' differences, i.e. of the pairwise gcd(a, b).  A
+    pair coprime modulo a prime p dividing neither leading coefficient is
+    coprime over Q, so most pairs are settled without sympy.
     """
-    import sympy
+    A, B = _differences(f, m_cap, n_cap), _differences(g, m_cap, n_cap)
+    lead = math.prod(a[-1] for a in A + B)
+    p = 2**31 - 1
+    while lead % p == 0:
+        p = next(q for q in range(p - 2, 2, -2) if is_prime(q))
+    factors, rest = set(), []
+    for a in A:
+        for b in B:
+            c = _gcd_mod(a, b, p)
+            if len(c) == 1:
+                continue
+            if len(c) == 2:
+                # At most one common root u/v over Q, with v | l, so that
+                # l (z + c[0]) = (l/v) (v z - u) mod p: lift it and check it
+                # exactly.  Shared rational points thus never import sympy,
+                # which keeps it out of the surveys.
+                l = gcd(a[-1], b[-1])
+                s = l * c[0] % p
+                x = Fraction(p - s if s > p // 2 else -s, l)
+                if _is_root(a, x) and _is_root(b, x):
+                    factors.add((-x.numerator, x.denominator))
+                    continue
+            rest.append((a, b))
+    if rest:
+        import sympy
 
-    certified: List[CertifiedPoint] = []
-    uncertified = 0
-    by_tags: Dict[Tuple[Tuple[int, int], Tuple[int, int]], List[complex]] = {}
-    for z, tf, tg in group:
-        by_tags.setdefault((tf, tg), []).append(z)
-    for ((mf, nf_), (mg, ng_)), pts in by_tags.items():
-        coeffs = np.poly(np.array(pts, dtype=complex))  # descending, leading 1
-        if np.max(np.abs(coeffs.imag)) > 1e-5:
-            uncertified += len(pts)
-            continue
-        rat = [Fraction(float(c)).limit_denominator(10**6) for c in coeffs.real[::-1]]
-        diff_f = iterate_coeffs(f, mf)
-        sub = iterate_coeffs(f, nf_) if nf_ else [Fraction(0), Fraction(1)]
-        for i, c in enumerate(sub):
-            diff_f[i] -= c
-        diff_g = iterate_coeffs(g, mg)
-        sub = iterate_coeffs(g, ng_) if ng_ else [Fraction(0), Fraction(1)]
-        for i, c in enumerate(sub):
-            diff_g[i] -= c
-        if not (_poly_divides(rat, diff_f) and _poly_divides(rat, diff_g)):
-            uncertified += len(pts)
-            continue
-        den_lcm = 1
-        for q in rat:
-            den_lcm = den_lcm * q.denominator // gcd(den_lcm, q.denominator)
-        ints = [int(q * den_lcm) for q in rat]
-        z = sympy.symbols("z")
-        poly = sympy.Poly(sum(c * z**i for i, c in enumerate(ints)), z)
-        for factor, _mult in poly.factor_list()[1]:
-            fac_coeffs = [int(c) for c in reversed(factor.all_coeffs())]  # ascending
-            if len(fac_coeffs) == 2:
-                x = Fraction(-fac_coeffs[0], fac_coeffs[1])
-                if is_rational_preperiodic(f, x) and is_rational_preperiodic(g, x):
-                    certified.append(CertifiedPoint(tuple(fac_coeffs), 0.0, 0.0))
-                else:
-                    uncertified += 1
-                continue
-            try:
-                pt = AlgebraicPoint(tuple(fac_coeffs))
-            except ValueError:
-                uncertified += 1
-                continue
-            try:
-                nf = max(1, int(math.log(4000 / pt.degree) / math.log(f.d)))
-                ng = max(1, int(math.log(4000 / pt.degree) / math.log(g.d)))
-                hf = canonical_height_alg(f, pt, nf)
-                hg = canonical_height_alg(g, pt, ng)
-            except (DegreeCapExceeded, ArithmeticError):
-                uncertified += 1
-                continue
-            if hf.value + hg.value <= max(tol, hf.err + hg.err):
-                certified.append(CertifiedPoint(tuple(fac_coeffs), hf.value, hg.value))
-            else:
-                uncertified += 1
-    return certified, uncertified
+        z = sympy.Symbol("z")
+        for a, b in rest:
+            common = sympy.Poly(a[::-1], z, domain="ZZ").gcd(sympy.Poly(b[::-1], z, domain="ZZ"))
+            for factor, _ in common.factor_list()[1]:
+                factors.add(tuple(int(c) for c in reversed(factor.all_coeffs())))
+    return sorted(factors)
 
 
 def prep_intersect(
@@ -360,74 +357,56 @@ def prep_intersect(
     g: MonicPoly,
     m_cap: int = 3,
     n_cap: int = 2,
-    tol: float = 1e-8,
     use_certificate: bool = True,
     check_suspected_equal: bool = True,
 ) -> PrepCertificate:
-    """Certified computation of the common preperiodic points at the given caps.
+    """Exact common preperiodic points of f and g at caps (m_cap, n_cap): the
+    roots of f^m - f^n and g^m' - g^n' for n < m <= m_cap, n <= n_cap.
 
-    Fires the disjointness certificate first when allowed; otherwise matches
-    complex preperiodic clusters of both maps and re-certifies every match
-    (exact rational orbits, or minimal-polynomial reconstruction plus
-    canonical heights).  Hitting a cap reports "inconclusive" rather than
-    silently truncating.
+    Fires the disjointness certificate first when allowed.  Otherwise each
+    point comes from an irreducible factor of the gcd over Q of the two maps'
+    iterate differences, screened modulo one prime, so the heights of the
+    certified points are exactly 0 and no tolerance is involved.  An iterate
+    beyond the degree budget reports "inconclusive" rather than silently
+    truncating.
     """
     if f == g:
         raise ValueError("prep_intersect requires f != g")
+    if m_cap < 1 or n_cap < 0:
+        raise ValueError("caps must satisfy m_cap >= 1 and n_cap >= 0")
     if use_certificate:
         w = disjoint_certificate(f, g)
         if w is not None:
-            return PrepCertificate("disjoint", w.p, (), m_cap, n_cap, tol)
+            return PrepCertificate("disjoint", w.p, (), m_cap, n_cap)
     try:
-        cf = preperiodic_complex(f, m_cap, n_cap, tol)
-        cg = preperiodic_complex(g, m_cap, n_cap, tol)
+        min_polys = _shared_min_polys(f, g, m_cap, n_cap)
     except CapExceeded:
-        return PrepCertificate("inconclusive", None, (), m_cap, n_cap, tol)
-    matches = _match_clusters(cf, cg, tol)
-    certified: List[CertifiedPoint] = []
-    uncert = 0
-    algebraic_pool: List[Tuple[complex, Tuple[int, int], Tuple[int, int]]] = []
-    for z, tf, tg in matches:
-        q = _nearest_rational(z, tol)
-        if q is not None:
-            if is_rational_preperiodic(f, q) and is_rational_preperiodic(g, q):
-                certified.append(
-                    CertifiedPoint((-q.numerator, q.denominator), 0.0, 0.0)
-                )
-            else:
-                uncert += 1
-            continue
-        algebraic_pool.append((z, tf, tg))
-    if algebraic_pool:
-        pts, un = _certify_algebraic(f, g, algebraic_pool, tol)
-        certified.extend(pts)
-        uncert += un
-    suspected = False
-    if check_suspected_equal and len(matches) > 4 * min(f.d, g.d):
-        suspected = _suspect_equal(f, g, m_cap, n_cap, tol, len(matches))
-    verdict = "inconclusive" if uncert else "intersection"
+        return PrepCertificate("inconclusive", None, (), m_cap, n_cap)
+    count = sum(len(mp) - 1 for mp in min_polys)
+    suspected = (
+        check_suspected_equal
+        and count > 4 * min(f.d, g.d)
+        and _suspect_equal(f, g, m_cap, n_cap, count)
+    )
     return PrepCertificate(
-        verdict,
+        "intersection",
         None,
-        tuple(sorted(certified, key=lambda c: c.min_poly)),
+        tuple(CertifiedPoint(mp, 0.0, 0.0) for mp in min_polys),
         m_cap,
         n_cap,
-        tol,
-        matched_clusters=len(matches),
-        uncertified=uncert,
+        matched_clusters=count,
         suspected_equal=suspected,
     )
 
 
-def _suspect_equal(f, g, m_cap, n_cap, tol, base_count) -> bool:
-    """Heuristic: match counts keep exceeding 4d as caps increase."""
+def _suspect_equal(f, g, m_cap, n_cap, base_count) -> bool:
+    """Heuristic: shared-point counts keep exceeding 4d as caps increase."""
     threshold = 4 * min(f.d, g.d)
     counts = [base_count]
     for bump in (1, 2):
         try:
-            cf = preperiodic_complex(f, m_cap + bump, n_cap + bump, tol)
-            cg = preperiodic_complex(g, m_cap + bump, n_cap + bump, tol)
+            mps = _shared_min_polys(f, g, m_cap + bump, n_cap + bump)
         except CapExceeded:
             break
-        counts.append(len(_match_clusters(cf, cg, tol)))
+        counts.append(sum(len(mp) - 1 for mp in mps))
     return len(counts) >= 3 and all(c > threshold for c in counts)

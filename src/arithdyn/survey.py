@@ -30,7 +30,7 @@ from .nonarchimedean import (
     strata_union_set,
 )
 from .polynomials import MonicPoly, SliceSpec, classify_places, height, is_ordinary, sample
-from .preperiodic import prep_intersect
+from .preperiodic import CapExceeded, prep_intersect
 from .rationals import LogValue, PlaceQ, factorize
 
 __all__ = [
@@ -64,7 +64,6 @@ class SurveyConfig:
     slice: Optional[SliceSpec] = None
     m_cap: int = 2
     n_cap: int = 1
-    tol: float = 1e-8
     out: Optional[str] = None
 
     def __post_init__(self):
@@ -155,8 +154,11 @@ _CSV_COLUMNS = (
 
 
 def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
-    """Sample pairs from S(X) (or a slice), classify into cases 1/2/3, run the
-    certified prep search at the configured caps, and aggregate."""
+    """Sample pairs from S(X) (or a slice), classify into cases 1/2/3, count
+    the shared preperiodic points at the configured caps, and aggregate.
+
+    A sample that raises CapExceeded or ArithmeticError is counted in
+    `failures`; any other exception propagates."""
     master = np.random.SeedSequence(cfg.seed)
     children = master.spawn(cfg.samples + 1)
     rows: List[SurveyRow] = []
@@ -173,10 +175,8 @@ def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
             if case == 1:
                 shared, inconclusive = 0, False
             else:
-                cert = prep_intersect(
-                    f, g, cfg.m_cap, cfg.n_cap, cfg.tol, check_suspected_equal=False
-                )
-                shared = len(cert.points)
+                cert = prep_intersect(f, g, cfg.m_cap, cfg.n_cap, check_suspected_equal=False)
+                shared = cert.matched_clusters
                 inconclusive = cert.verdict == "inconclusive"
             rep = pairing_bounds(f, g)
             ok, _ = is_ordinary(f, g, cfg.X, cfg.eps)
@@ -195,7 +195,7 @@ def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
                     inconclusive,
                 )
             )
-        except Exception as exc:
+        except (CapExceeded, ArithmeticError) as exc:
             log.warning("sample %d failed and was excluded: %s", i, exc)
             failures += 1
     counts = np.array([r.shared_count for r in rows], dtype=float)

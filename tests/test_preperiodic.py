@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from arithdyn import (
     MonicPoly,
@@ -71,12 +76,120 @@ def test_prep_intersect_disjoint_and_errors():
     assert cert.verdict == "disjoint" and cert.witness_place == 2
     with pytest.raises(ValueError):
         prep_intersect(Z2, Z2)
+    with pytest.raises(ValueError):
+        prep_intersect(Z2, CHEB, m_cap=2, n_cap=-1)
 
 
 def test_prep_intersect_same_julia_flag():
     cert = prep_intersect(Z2, MonicPoly.make(4), m_cap=3, n_cap=2)
     assert cert.suspected_equal
     assert cert.matched_clusters > 8
+
+
+@pytest.mark.parametrize(
+    "f, g, min_polys",
+    [
+        # 0, +-1 and the golden pair z^2 - z - 1 (a real irrational orbit)
+        ("z^2-z", "z^2-1", [(-1, -1, 1), (-1, 1), (0, 1), (1, 1)]),
+        # +-1/2 (1/2 a double root of f - z) and +-i sqrt(3)/2
+        ("z^2+1/4", "z^2-3/4", [(-1, 2), (1, 2), (3, 0, 4)]),
+        # 0, +-1 and e^(+-i pi/3): 4 orbits, 5 points
+        ("z^2", "z^2-z", [(-1, 1), (0, 1), (1, -1, 1), (1, 1)]),
+        # z^2 + z sends the roots of z^2 + z + 1 to -1 -> 0, a double root of g^3 - g^2
+        ("z^2+1", "z^2+z", [(1, 1, 1)]),
+        ("z^3-2z-2", "z^3-(1/2)z^2-z+1", [(1, 1)]),
+        ("z^3+z", "z^3-z^2+2z-1", [(1, 0, 1), (2, 0, 1)]),
+    ],
+)
+def test_prep_intersect_exact_points(f, g, min_polys):
+    cert = prep_intersect(
+        MonicPoly.from_text(f), MonicPoly.from_text(g), m_cap=3, n_cap=2, use_certificate=False
+    )
+    assert cert.verdict == "intersection"
+    assert sorted(p.min_poly for p in cert.points) == min_polys
+    assert cert.matched_clusters == sum(len(mp) - 1 for mp in min_polys)
+    assert all(p.hf == 0.0 and p.hg == 0.0 for p in cert.points)
+
+
+def test_trivial_screen_does_not_import_sympy():
+    # sympy doubles the resident memory of a survey; only a common factor
+    # that is not one rational point may load it.
+    code = (
+        "import sys, arithdyn as ad\n"
+        "M = ad.MonicPoly.from_text\n"
+        "c = ad.prep_intersect(M('z^2+1/3'), M('z^2+z+1/3'), use_certificate=False)\n"
+        "assert c.verdict == 'intersection' and c.points == (), c\n"
+        "c = ad.prep_intersect(M('z^3+(1/3)z'), M('z^3-2z^2-(2/5)z'), use_certificate=False)\n"
+        "assert [p.min_poly for p in c.points] == [(0, 1)], c\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+_coeff = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+_poly = st.integers(2, 3).flatmap(
+    lambda d: st.lists(_coeff, min_size=d, max_size=d).map(lambda cs: MonicPoly(tuple(cs)))
+)
+
+
+def _fixing(q, h):
+    """z + q h for ascending coefficient lists q and h, both monic."""
+    out = [F(0)] * (len(q) + len(h) - 1)
+    for i, a in enumerate(q):
+        for j, b in enumerate(h):
+            out[i + j] += a * b
+    out[1] += 1
+    return MonicPoly(tuple(out[:-1]))
+
+
+# Random pairs rarely share a point; z + q h and z + q h' share the roots of q
+# as fixed points, which may be irrational, complex or multiple roots.
+_pairs = st.one_of(
+    st.tuples(_poly, _poly),
+    st.builds(
+        lambda q, s, t: (_fixing(q + [1], [s, 1]), _fixing(q + [1], [t, 1])),
+        st.lists(_coeff, min_size=1, max_size=2),
+        _coeff,
+        _coeff,
+    ),
+)
+
+
+def _min_polys(f, g, m_cap, n_cap):
+    cert = prep_intersect(f, g, m_cap, n_cap, use_certificate=False, check_suspected_equal=False)
+    return {p.min_poly for p in cert.points}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_pairs)
+def test_prep_intersect_symmetric(pair):
+    f, g = pair
+    if f != g:
+        assert _min_polys(f, g, 3, 2) == _min_polys(g, f, 3, 2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_pairs)
+def test_prep_intersect_monotone_in_caps(pair):
+    f, g = pair
+    if f != g:
+        assert _min_polys(f, g, 2, 1) <= _min_polys(f, g, 3, 2)
+
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(_coeff, min_size=1, max_size=2), _coeff, _coeff)
+def test_prep_intersect_finds_shared_fixed_points(q, s, t):
+    assume(s != t)
+    f, g = _fixing(q + [1], [s, 1]), _fixing(q + [1], [t, 1])
+    z = sympy.Symbol("z")
+    found = sympy.Poly(1, z, domain="QQ")
+    for mp in _min_polys(f, g, 3, 2):
+        found *= sympy.Poly(mp[::-1], z, domain="QQ")
+    shared = sympy.Poly([1] + q[::-1], z, domain="QQ").sqf_part()
+    assert found.rem(shared).is_zero, (f.to_text(), g.to_text())
 
 
 def test_certificate_implies_no_matches(rng):

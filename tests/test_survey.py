@@ -182,3 +182,28 @@ def test_constants_values():
     assert c["alpha_identity_residual"] < 1e-12
     assert abs(c["riemann_lower"] - c["riemann_target"]) < 1e-9
     assert abs(c["riemann_upper"] - c["riemann_target"]) < 1e-9
+
+
+def test_survey_prep_counts_points_not_orbits():
+    from arithdyn import prep_intersect
+
+    cfg = SurveyConfig(d=2, X=2, samples=30, seed=0, m_cap=3, n_cap=2)
+    res = survey_average_prep(cfg)
+    non_rational = 0
+    for r in res.rows:
+        cert = prep_intersect(
+            MonicPoly.from_text(r.f), MonicPoly.from_text(r.g), 3, 2,
+            use_certificate=False, check_suspected_equal=False,
+        )
+        assert r.shared_count == sum(len(p.min_poly) - 1 for p in cert.points), r
+        non_rational += any(len(p.min_poly) > 2 for p in cert.points)
+    assert non_rational >= 1
+
+
+def test_survey_prep_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the intersection layer")
+
+    monkeypatch.setattr("arithdyn.survey.prep_intersect", broken)
+    with pytest.raises(TypeError):
+        survey_average_prep(SurveyConfig(d=2, X=2, samples=20, seed=0))
