@@ -3,7 +3,8 @@
 Subcommands: height, green, pairing, prep-intersect, ordinary-check, survey,
 robin, constants.  All results are schema-versioned JSON on stdout; surveys
 can additionally write per-pair CSV rows with --out.  Exit codes: 0 success,
-1 usage error, 2 computation failure.
+1 usage error, 2 computation failure, 3 internal check failure (a bound the
+computation must satisfy did not hold).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .survey import (
 
 USAGE_ERROR = 1
 COMPUTE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _emit(obj: dict) -> None:
@@ -203,6 +205,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -131,17 +131,12 @@ def _green_finite(f: MonicPoly, p: int, x: Fraction, cap: int = _DEPTH_CAP) -> F
     G = d^-n log|z_n|_p; orbits still inside the bound at the depth cap
     contribute less than d^-cap times a bounded factor and are reported as 0.
     """
-    d = f.d
     if f.explicit_good_at(p):
         return Fraction(max(0, -ord_p(x, p))) if x != 0 else Fraction(0)
-    r_exp = Fraction(0)
-    for i, e in enumerate(f.coeff_ords(p)):
-        if e is not None:
-            r_exp = max(r_exp, Fraction(-e, d - i))
     K = 96
     while True:
         try:
-            return _green_finite_attempt(f, p, x, r_exp, cap, K)
+            return _green_finite_attempt(f, p, x, f._r_exp(p), cap, K)
         except _PrecisionExhausted:
             K *= 2
             if K > 1 << 16:
@@ -462,17 +457,6 @@ class BoundReport:
         }
 
 
-def _large_exponents(f: MonicPoly, p: int) -> Tuple[Fraction, int]:
-    """(log_p M_{f,p}, number of large coefficients)."""
-    m = Fraction(0)
-    count = 0
-    for e in f.coeff_ords(p):
-        if e is not None and e < 0:
-            count += 1
-            m = max(m, Fraction(-e))
-    return m, count
-
-
 def local_pairing(f: MonicPoly, g: MonicPoly, v: PlaceQ) -> PlaceEntry:
     """-(mu_f, mu_g)_v at a finite place.
 
@@ -486,12 +470,11 @@ def local_pairing(f: MonicPoly, g: MonicPoly, v: PlaceQ) -> PlaceEntry:
     if f.d != g.d:
         raise ValueError("pairing formulas require equal degrees")
     p = v.p
-    mf, cf = _large_exponents(f, p)
-    mg, cg = _large_exponents(g, p)
-    bound = LogValue.of_prime(p, Fraction(mf + mg, f.d))
-    if cf + cg == 0:
+    large = len(f._large(p)) + len(g._large(p))
+    bound = LogValue.of_prime(p, Fraction(f._m_exp(p) + g._m_exp(p), f.d))
+    if large == 0:
         return PlaceEntry(str(v), "exact", "trivial", 0.0, 0.0, LogValue.zero())
-    if cf + cg == 1:
+    if large == 1:
         x = float(bound)
         return PlaceEntry(str(v), "exact", "good-assoc", x, x, bound)
     return PlaceEntry(str(v), "interval", "bad", 0.0, float(bound), None)

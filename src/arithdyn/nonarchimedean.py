@@ -137,7 +137,7 @@ def strata(f: MonicPoly, v: PlaceQ) -> StrataMeasure:
         raise ValueError("strata are defined at finite places")
     p = v.p
     d = f.d
-    large = [(i, -e) for i, e in enumerate(f.coeff_ords(p)) if e is not None and e < 0]
+    large = f._large(p)
     if not large:
         raise StrataHypothesisError(f"explicit good reduction at p={p}: no large coefficient")
     if len(large) > 1:
@@ -276,12 +276,7 @@ def mass_outside_unit(g: MonicPoly, v: PlaceQ) -> Optional[int]:
     """
     if v.is_arch:
         raise ValueError("mass_outside_unit is for finite places")
-    p = v.p
-    for jj in range(1, g.d):
-        c = g.coeffs[jj]
-        if c != 0 and c.denominator % p == 0:
-            return jj
-    return None
+    return next((j for j, _ in g._large(v.p) if j >= 1), None)
 
 
 @dataclass(frozen=True)
@@ -312,26 +307,17 @@ def julia_shells(f: MonicPoly, v: PlaceQ):
 
     Returns ("ball", None) for explicit good reduction (radii within [0, 1]),
     ("shells", {exponents}) when the one-large-coefficient shape pins |zeta|_v
-    to finitely many values p^t, and ("unknown", None) otherwise.
+    to finitely many values p^t (the log-radii of `strata`), and
+    ("unknown", None) where `strata` does not apply.
     """
     if v.is_arch:
         raise ValueError("julia_shells is for finite places")
-    p = v.p
-    d = f.d
-    large = [(i, -e) for i, e in enumerate(f.coeff_ords(p)) if e is not None and e < 0]
-    if not large:
+    if not f._large(v.p):
         return "ball", None
-    if len(large) == 1:
-        j, m_int = large[0]
-        m = Fraction(m_int)
-        if j == 0:
-            return "shells", frozenset({m / d})
-        a0 = f.coeffs[0]
-        if a0 != 0 and ord_p(a0, p) == 0:
-            return "shells", frozenset(
-                {m / (d - j), -m * (d - j - 1) / (j * (d - j)), -m / j}
-            )
-    return "unknown", None
+    try:
+        return "shells", frozenset(strata(f, v).log_radii)
+    except StrataHypothesisError:
+        return "unknown", None
 
 
 def shells_certify_disjoint(sf, sg) -> bool:

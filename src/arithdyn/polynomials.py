@@ -8,9 +8,11 @@ centered family fixes a_{d-1} = 0.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -116,11 +118,39 @@ class MonicPoly:
         """Descending coefficient array [1, a_{d-1}, ..., a_0] for numpy."""
         return np.array([1.0] + [float(c) for c in reversed(self.coeffs)], dtype=complex)
 
+    @cached_property
+    def _places(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+        """The place table, the one factorization of the coefficient
+        denominators: for each prime p dividing one, in increasing order, the
+        pairs (i, m), i increasing, with |a_i|_p = p^m > 1."""
+        table: Dict[int, List[Tuple[int, int]]] = {}
+        for i, c in enumerate(self.coeffs):
+            for p, m in factorize(c.denominator).pairs:
+                table.setdefault(p, []).append((i, m))
+        return {p: tuple(table[p]) for p in sorted(table)}
+
+    def _large(self, p: int) -> Tuple[Tuple[int, int], ...]:
+        """The large coefficients at p: the pairs (i, m) with |a_i|_p = p^m > 1."""
+        return self._places.get(p, ())
+
+    def _m_exp(self, p: int) -> int:
+        """log_p M_{f,p} = max(0, m over the large a_i)."""
+        return max((m for _, m in self._large(p)), default=0)
+
+    def _r_exp(self, p: int) -> Fraction:
+        """log_p R_{f,p} = max(0, m / (d - i) over the large a_i)."""
+        return max([Fraction(0)] + [Fraction(m, self.d - i) for i, m in self._large(p)])
+
+    def _denominator_factors(self, i: int) -> Dict[int, int]:
+        """p -> m for the prime powers p^m exactly dividing denom(a_i), p increasing."""
+        return {p: m for p, large in self._places.items() for j, m in large if j == i}
+
+    @cached_property
+    def _arch(self) -> "LocalProfile":
+        return _arch_profile(self)
+
     def denominator_primes(self) -> Tuple[int, ...]:
-        ps = set()
-        for c in self.coeffs:
-            ps.update(factorize(c.denominator).primes)
-        return tuple(sorted(ps))
+        return tuple(self._places)
 
     def coeff_ords(self, p: int) -> List[Optional[int]]:
         """ord_p(a_i) for i = 0..d-1, None for zero coefficients."""
@@ -184,7 +214,7 @@ class LocalProfile:
     M: LogValue
     R: LogValue
     reduction: str  # "explicit-good" | "bad" | "archimedean"
-    coeff_abs: Tuple[LogValue, ...]  # log|a_i|_v, by coefficient index (zeros -> log 0 omitted as None)
+    coeff_abs: Tuple[LogValue, ...]  # log|a_i|_v, by coefficient index; LogValue.zero() for a_i = 0
 
 
 def local_profile(f: MonicPoly, v: PlaceQ) -> LocalProfile:
@@ -193,47 +223,44 @@ def local_profile(f: MonicPoly, v: PlaceQ) -> LocalProfile:
     Archimedean: R = 3 max(1, |a_{d-1}|, |a_{d-2}|^{1/2}, ..., |a_0|^{1/d});
     finite places drop the factor 3.
     """
-    d = f.d
-    zero = LogValue.zero()
     if v.is_arch:
-        vals = [None if c == 0 else LogValue.from_rational(abs(c)) for c in f.coeffs]
-        M = zero
-        R = zero
-        for i, lv in enumerate(vals):
-            if lv is None:
-                continue
-            M = LogValue.max(M, lv)
-            R = LogValue.max(R, lv * Fraction(1, d - i))
-        R = R + LogValue.of_prime(3)
-        return LocalProfile(v, M, R, "archimedean", tuple(x if x is not None else zero for x in vals))
+        return f._arch
     p = v.p
-    ords = f.coeff_ords(p)
-    vals = [None if e is None else LogValue.of_prime(p, -e) for e in ords]
-    m_exp = Fraction(0)
-    r_exp = Fraction(0)
-    for i, e in enumerate(ords):
-        if e is None:
-            continue
-        m_exp = max(m_exp, Fraction(-e))
-        r_exp = max(r_exp, Fraction(-e, d - i))
+    zero = LogValue.zero()
+    vals = tuple(zero if e is None else LogValue.of_prime(p, -e) for e in f.coeff_ords(p))
+    m_exp = f._m_exp(p)
     red = "explicit-good" if m_exp == 0 else "bad"
     return LocalProfile(
-        v,
-        LogValue.of_prime(p, m_exp),
-        LogValue.of_prime(p, r_exp),
-        red,
-        tuple(x if x is not None else zero for x in vals),
+        v, LogValue.of_prime(p, m_exp), LogValue.of_prime(p, f._r_exp(p)), red, vals
     )
+
+
+def _arch_profile(f: MonicPoly) -> LocalProfile:
+    """The archimedean local_profile, built once per polynomial: log|a_i| from
+    the numerator's factorization and the place table's denominator."""
+    d = f.d
+    zero = LogValue.zero()
+    vals = [
+        zero if c == 0 else LogValue(
+            dict(factorize(abs(c.numerator)).pairs)
+            | {p: -m for p, m in f._denominator_factors(i).items()}
+        )
+        for i, c in enumerate(f.coeffs)
+    ]
+    M = R = zero
+    for i, (c, lv) in enumerate(zip(f.coeffs, vals)):
+        if c != 0:
+            M = LogValue.max(M, lv)
+            R = LogValue.max(R, lv * Fraction(1, d - i))
+    return LocalProfile(PlaceQ.arch(), M, R + LogValue.of_prime(3), "archimedean", tuple(vals))
 
 
 def height(f: MonicPoly) -> LogValue:
     """h(f) = sum_v log max(1, |a_{d-1}|_v, ..., |a_0|_v), exact."""
     total = LogValue.zero()
-    for p in f.denominator_primes():
-        e = max(-min(o for o in f.coeff_ords(p) if o is not None), 0)
-        total = total + LogValue.of_prime(p, e)
-    m_inf = max([Fraction(1)] + [abs(c) for c in f.coeffs])
-    return total + LogValue.from_rational(m_inf)
+    for p in f._places:
+        total = total + LogValue.of_prime(p, f._m_exp(p))
+    return total + f._arch.M
 
 
 def _eps_fraction(eps) -> Fraction:
@@ -243,10 +270,13 @@ def _eps_fraction(eps) -> Fraction:
     return Fraction(eps)
 
 
-def _pair_coefficients(f: MonicPoly, g: MonicPoly) -> List[Tuple[str, Fraction]]:
-    out = [(f"a{i}", c) for i, c in enumerate(f.coeffs)]
-    out += [(f"b{i}", c) for i, c in enumerate(g.coeffs)]
-    return out
+def _pair_coefficients(f: MonicPoly, g: MonicPoly) -> List[Tuple[str, Fraction, int]]:
+    """(label, coefficient, radical of its denominator) over both maps."""
+    return [
+        (f"{tag}{i}", c, math.prod(h._denominator_factors(i)))
+        for tag, h in (("a", f), ("b", g))
+        for i, c in enumerate(h.coeffs)
+    ]
 
 
 def is_ordinary(f: MonicPoly, g: MonicPoly, X: int, eps) -> Tuple[bool, Optional[str]]:
@@ -260,7 +290,8 @@ def is_ordinary(f: MonicPoly, g: MonicPoly, X: int, eps) -> Tuple[bool, Optional
     """
     if not f.centered:
         raise ValueError("first polynomial must be centered (a_{d-1} = 0)")
-    for label, c in _pair_coefficients(f, g):
+    coeffs = _pair_coefficients(f, g)
+    for label, c, _ in coeffs:
         if max(abs(c.numerator), c.denominator) > X:
             raise ValueError(f"coefficient {label}={c} has height > X={X}")
     e = _eps_fraction(eps)
@@ -268,15 +299,14 @@ def is_ordinary(f: MonicPoly, g: MonicPoly, X: int, eps) -> Tuple[bool, Optional
     q_gcd = 2 * e
     if q_rad <= 0:
         raise ValueError("eps must be < 1/2")
-    nonzero = [(lab, c) for lab, c in _pair_coefficients(f, g) if c != 0]
-    for lab, c in nonzero:
-        r = factorize(c.denominator).radical()
+    nonzero = [(lab, c, r) for lab, c, r in coeffs if c != 0]
+    for lab, c, r in nonzero:
         # r >= X^(1-2e)  <=>  r^den >= X^num, all integer
         if r ** q_rad.denominator < X ** q_rad.numerator:
             return False, f"rad(denom({lab}))={r} < X^(1-2eps)"
     for i in range(len(nonzero)):
         for j in range(i + 1, len(nonzero)):
-            (l1, c1), (l2, c2) = nonzero[i], nonzero[j]
+            (l1, c1, _), (l2, c2, _) = nonzero[i], nonzero[j]
             g12 = gcd(c1.denominator, c2.denominator)
             if g12 ** q_gcd.denominator > X ** q_gcd.numerator:
                 return False, f"gcd(denom({l1}),denom({l2}))={g12} > X^(2eps)"
@@ -314,8 +344,7 @@ def classify_places(f: MonicPoly, g: MonicPoly) -> PairProfile:
     assoc: Dict[int, Tuple[str, int]] = {}
     bad: List[int] = []
     for p in primes:
-        large = [("f", i) for i, c in enumerate(f.coeffs) if c.denominator % p == 0]
-        large += [("g", i) for i, c in enumerate(g.coeffs) if c.denominator % p == 0]
+        large = [("f", i) for i, _ in f._large(p)] + [("g", i) for i, _ in g._large(p)]
         if len(large) == 1:
             assoc[p] = large[0]
         else:

@@ -78,29 +78,19 @@ class PrepCertificate:
 
 
 def disjoint_certificate(f: MonicPoly, g: MonicPoly) -> Optional[PlaceQ]:
-    """First finite place where one polynomial has all coefficients small and
-    the other has *only* its constant coefficient large.
+    """First finite place where one polynomial has no large coefficient and
+    the other's *only* large coefficient is its constant one.
 
-    At such a place the two filled Julia sets live at incompatible absolute
-    values (|zeta| <= 1 versus |zeta| = |b_0|^{1/d} > 1), so the preperiodic
-    sets cannot meet.  Symmetrized over the pair; returns None if no place
-    qualifies.
+    This is the ball-versus-single-shell case of the shells test
+    (`julia_shells`, `shells_certify_disjoint`): there the two filled Julia
+    sets live at incompatible absolute values (|zeta| <= 1 versus
+    |zeta| = |b_0|^{1/d} > 1), so the preperiodic sets cannot meet.
+    Symmetrized over the pair; returns None if no place qualifies.
     """
-    primes = sorted(set(f.denominator_primes()) | set(g.denominator_primes()))
-    for p in primes:
-        f_good = f.explicit_good_at(p)
-        g_good = g.explicit_good_at(p)
-        if f_good and _only_constant_large(g, p):
-            return PlaceQ.finite(p)
-        if g_good and _only_constant_large(f, p):
+    for p in sorted(set(f.denominator_primes()) | set(g.denominator_primes())):
+        if {tuple(i for i, _ in h._large(p)) for h in (f, g)} == {(), (0,)}:
             return PlaceQ.finite(p)
     return None
-
-
-def _only_constant_large(h: MonicPoly, p: int) -> bool:
-    if h.coeffs[0] == 0 or h.coeffs[0].denominator % p != 0:
-        return False
-    return all(c.denominator % p != 0 for c in h.coeffs[1:])
 
 
 _DEGREE_BUDGET = 4096
@@ -179,11 +169,7 @@ def _denominator_bound(f: MonicPoly) -> int:
     dividing D (from |x|_p <= R_{f,p} at the bad places)."""
     D = 1
     for p in f.denominator_primes():
-        r_exp = Fraction(0)
-        for i, e in enumerate(f.coeff_ords(p)):
-            if e is not None and e < 0:
-                r_exp = max(r_exp, Fraction(-e, f.d - i))
-        D *= p ** math.floor(r_exp)
+        D *= p ** math.floor(f._r_exp(p))
     return D
 
 

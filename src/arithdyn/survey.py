@@ -24,6 +24,7 @@ from .nonarchimedean import (
     BerkSetDescriptor,
     StrataHypothesisError,
     julia_shells,
+    mass_outside_unit,
     shells_certify_disjoint,
     strata,
     strata_intersection_set,
@@ -81,23 +82,19 @@ def classify_case(f: MonicPoly, g: MonicPoly) -> int:
     reduction gives the unit ball, the one-large-coefficient shapes pin the
     radii to one or three shells).  Case 2: not case 1, but some finite place
     has one map explicit-good while the other has a large non-constant
-    coefficient.  Case 3: everything else.
+    coefficient (a `mass_outside_unit` witness).  Case 3: everything else.
     """
-    primes = sorted(set(f.denominator_primes()) | set(g.denominator_primes()))
-    for p in primes:
-        v = PlaceQ.finite(p)
+    places = [
+        PlaceQ.finite(p) for p in sorted(set(f.denominator_primes()) | set(g.denominator_primes()))
+    ]
+    for v in places:
         if shells_certify_disjoint(julia_shells(f, v), julia_shells(g, v)):
             return 1
-    for p in primes:
-        if f.explicit_good_at(p) and _has_large_nonconstant(g, p):
-            return 2
-        if g.explicit_good_at(p) and _has_large_nonconstant(f, p):
-            return 2
+    for v in places:
+        for h, k in ((f, g), (g, f)):
+            if not h._large(v.p) and mass_outside_unit(k, v) is not None:
+                return 2
     return 3
-
-
-def _has_large_nonconstant(h: MonicPoly, p: int) -> bool:
-    return any(c.denominator % p == 0 for c in h.coeffs[1:])
 
 
 @dataclass(frozen=True)
@@ -425,14 +422,17 @@ def search_adelic_c(
 
 def constants() -> dict:
     """The two endpoint constants of the height sandwich, with the quadrature
-    confirmations of the Riemann-sum limits and the alpha cancellation."""
-    from scipy.integrate import quad
+    confirmations of the Riemann-sum limits and the alpha cancellation.
 
+    The quadrature is a 20-node Gauss-Legendre rule on each half interval,
+    an independent numerical check of the closed form ln 2 / 2."""
     alpha = ALPHA
     C = -math.log(1 - alpha) + alpha
     ln2 = math.log(2.0)
-    lower_lhs, _ = quad(lambda t: 1.0 / (2.0 * (1.0 - t)), 0.0, 0.5)
-    upper_lhs, _ = quad(lambda t: 1.0 / (2.0 * t), 0.5, 1.0)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    t = 0.25 * nodes + 0.25  # [-1, 1] -> [0, 1/2]; dt = dx / 4
+    lower_lhs = float(np.sum(0.25 * weights / (2.0 * (1.0 - t))))
+    upper_lhs = float(np.sum(0.25 * weights / (2.0 * (t + 0.5))))
     # The cancellation used for the Robin constant: (2 alpha)^2 = 1 - alpha,
     # i.e. (1/2) log(1-alpha) = log(2 alpha).
     residual = abs(0.5 * math.log(1 - alpha) - math.log(2 * alpha))

@@ -125,3 +125,13 @@ def test_usage_and_compute_errors(capsys):
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "prep-intersect", "z^2", "z^2")
     assert code == 2
+
+
+def test_internal_check_failure_has_its_own_exit_code(capsys, monkeypatch):
+    def violated(*args, **kwargs):
+        raise AssertionError("pairing sandwich violated: lo - 2 > (h(f)+h(g))/d")
+
+    monkeypatch.setattr("arithdyn.cli.global_pairing", violated)
+    code, out, err = run_cli(capsys, "pairing", "z^2", "z^2-2")
+    assert code == 3
+    assert out == "" and err.startswith("internal check failed: pairing sandwich violated")

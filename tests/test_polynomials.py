@@ -3,19 +3,27 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithdyn import (
     LogValue,
     MonicPoly,
     PlaceQ,
     SliceSpec,
+    StrataHypothesisError,
+    abs_at,
+    classify_case,
     classify_places,
     count_rationals_upto,
+    disjoint_certificate,
     height,
     is_ordinary,
+    julia_shells,
     local_profile,
+    mass_outside_unit,
     sample,
     sample_rational,
+    strata,
 )
 
 
@@ -193,3 +201,60 @@ def test_sample_rational_marginal_chi2():
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     # dof = 126; mean 126, sd ~ 15.9; allow 5 sigma
     assert chi2 < 126 + 5 * math.sqrt(2 * 126)
+
+
+# Coefficients whose denominators are products of powers of 2, 3, 5 and 7; zeros
+# and integers keep one-large-coefficient shapes common.
+_PRIMES = (2, 3, 5, 7)
+_den = st.tuples(*[st.integers(0, 2)] * 4).map(
+    lambda es: math.prod(p**e for p, e in zip(_PRIMES, es))
+)
+_coeff = st.one_of(
+    st.just(F(0)), st.integers(-20, 20).map(F), st.builds(F, st.integers(-20, 20), _den)
+)
+_polys = st.integers(2, 5).flatmap(
+    lambda d: st.lists(st.lists(_coeff, min_size=d, max_size=d), min_size=2, max_size=2)
+).map(lambda css: [MonicPoly(tuple(cs)) for cs in css])
+
+
+def _large(f, p):
+    """(i, log_p |a_i|_p) for the coefficients with |a_i|_p > 1."""
+    return [(i, -_ord(c, p)) for i, c in enumerate(f.coeffs) if c != 0 and abs_at(c, PlaceQ(p)) > 1]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_polys)
+def test_place_table_consumers_match_coefficient_definitions(polys):
+    for f in polys:
+        primes = tuple(p for p in _PRIMES if any(c.denominator % p == 0 for c in f.coeffs))
+        assert f.denominator_primes() == primes
+        total = LogValue.zero()
+        for v in [PlaceQ.arch()] + [PlaceQ(p) for p in _PRIMES]:
+            M = LogValue.from_rational(max([F(1)] + [abs_at(c, v) for c in f.coeffs]))
+            assert local_profile(f, v).M == M
+            total = total + M
+            if v.is_arch:
+                continue
+            r = max([F(0)] + [F(m, f.d - i) for i, m in _large(f, v.p)])
+            assert local_profile(f, v).R == LogValue.of_prime(v.p, r)
+            assert mass_outside_unit(f, v) == next((i for i, _ in _large(f, v.p) if i), None)
+            try:
+                assert julia_shells(f, v) == ("shells", frozenset(strata(f, v).log_radii))
+            except StrataHypothesisError:
+                assert julia_shells(f, v) == (("ball", None) if f.explicit_good_at(v.p) else ("unknown", None))
+        assert height(f) == total
+    f, g = polys
+    if f != g:
+        witness = next(
+            (p for p in _PRIMES if sorted([[i for i, _ in _large(h, p)] for h in (f, g)]) == [[], [0]]),
+            None,
+        )
+        cert = disjoint_certificate(f, g)
+        assert (cert and cert.p) == witness
+        if cert is not None:
+            assert classify_case(f, g) == 1
+        prof = classify_places(f, g)
+        for p in _PRIMES:
+            large = [("f", i) for i, _ in _large(f, p)] + [("g", i) for i, _ in _large(g, p)]
+            assert prof.assoc.get(p) == (large[0] if len(large) == 1 else None)
+            assert (p in prof.bad) == (len(large) > 1)

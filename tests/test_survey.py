@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -182,6 +185,15 @@ def test_constants_values():
     assert c["alpha_identity_residual"] < 1e-12
     assert abs(c["riemann_lower"] - c["riemann_target"]) < 1e-9
     assert abs(c["riemann_upper"] - c["riemann_target"]) < 1e-9
+
+
+def test_constants_does_not_import_scipy():
+    # scipy is a test-only dependency; importing it took most of the time of
+    # `arithdyn constants`.
+    code = "import sys, arithdyn as ad\nad.constants()\nassert 'scipy' not in sys.modules\n"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 def test_survey_prep_counts_points_not_orbits():
