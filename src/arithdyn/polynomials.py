@@ -208,13 +208,12 @@ def _parse_poly_text(text: str) -> Dict[int, Fraction]:
 
 @dataclass(frozen=True)
 class LocalProfile:
-    """Local data of f at a place: log M_{f,v}, log R_{f,v}, reduction type."""
+    """Local data of f at a place: exact log M_{f,v} and log R_{f,v}, reduction type."""
 
     place: PlaceQ
     M: LogValue
     R: LogValue
     reduction: str  # "explicit-good" | "bad" | "archimedean"
-    coeff_abs: Tuple[LogValue, ...]  # log|a_i|_v, by coefficient index; LogValue.zero() for a_i = 0
 
 
 def local_profile(f: MonicPoly, v: PlaceQ) -> LocalProfile:
@@ -226,33 +225,32 @@ def local_profile(f: MonicPoly, v: PlaceQ) -> LocalProfile:
     if v.is_arch:
         return f._arch
     p = v.p
-    zero = LogValue.zero()
-    vals = tuple(zero if e is None else LogValue.of_prime(p, -e) for e in f.coeff_ords(p))
     m_exp = f._m_exp(p)
     red = "explicit-good" if m_exp == 0 else "bad"
-    return LocalProfile(
-        v, LogValue.of_prime(p, m_exp), LogValue.of_prime(p, f._r_exp(p)), red, vals
-    )
+    return LocalProfile(v, LogValue.of_prime(p, m_exp), LogValue.of_prime(p, f._r_exp(p)), red)
 
 
 def _arch_profile(f: MonicPoly) -> LocalProfile:
-    """The archimedean local_profile, built once per polynomial: log|a_i| from
-    the numerator's factorization and the place table's denominator."""
+    """The archimedean local_profile, built once per polynomial: M from the
+    largest |a_i| > 1 and R from the largest |a_i|^(1/(d-i)), picked by exact
+    comparisons of rationals; ties have equal logs, so the first is taken."""
     d = f.d
-    zero = LogValue.zero()
-    vals = [
-        zero if c == 0 else LogValue(
-            dict(factorize(abs(c.numerator)).pairs)
-            | {p: -m for p, m in f._denominator_factors(i).items()}
-        )
-        for i, c in enumerate(f.coeffs)
-    ]
-    M = R = zero
-    for i, (c, lv) in enumerate(zip(f.coeffs, vals)):
-        if c != 0:
-            M = LogValue.max(M, lv)
-            R = LogValue.max(R, lv * Fraction(1, d - i))
-    return LocalProfile(PlaceQ.arch(), M, R + LogValue.of_prime(3), "archimedean", tuple(vals))
+    big = [(i, abs(c)) for i, c in enumerate(f.coeffs) if abs(c) > 1]
+    if not big:
+        return LocalProfile(PlaceQ.arch(), LogValue.zero(), LogValue.of_prime(3), "archimedean")
+    m = max(big, key=lambda t: t[1])
+    r = big[0]
+    for t in big[1:]:
+        # |a_i|^(1/(d-i)) > |a_k|^(1/(d-k))  <=>  |a_i|^(d-k) > |a_k|^(d-i)
+        if t[1] ** (d - r[0]) > r[1] ** (d - t[0]):
+            r = t
+    logs = {
+        i: LogValue(dict(factorize(abs(f.coeffs[i].numerator)).pairs)
+                    | {p: -e for p, e in f._denominator_factors(i).items()})
+        for i in {m[0], r[0]}
+    }
+    R = logs[r[0]] * Fraction(1, d - r[0]) + LogValue.of_prime(3)
+    return LocalProfile(PlaceQ.arch(), logs[m[0]], R, "archimedean")
 
 
 def height(f: MonicPoly) -> LogValue:

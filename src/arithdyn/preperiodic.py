@@ -1,6 +1,7 @@
-"""Desk-scale preperiodic points: the fast non-archimedean disjointness
-certificate, complex preperiodic clusters, exact shared preperiodic points,
-and exact enumeration of rational preperiodic points.
+"""Desk-scale preperiodic points: the disjointness certificate (the shells
+test of `nonarchimedean` at a finite place, the survey's Case 1), complex
+preperiodic clusters, exact shared preperiodic points, and exact enumeration
+of rational preperiodic points.
 
 The points that f and g share at caps (m, n) are exactly the roots of
 gcd(prod (f^m - f^n), prod (g^m' - g^n')) over Q.  `prep_intersect` screens
@@ -22,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .nonarchimedean import julia_shells, shells_certify_disjoint
 from .polynomials import MonicPoly, local_profile
 from .rationals import PlaceQ, factorize, is_prime
 
@@ -78,18 +80,18 @@ class PrepCertificate:
 
 
 def disjoint_certificate(f: MonicPoly, g: MonicPoly) -> Optional[PlaceQ]:
-    """First finite place where one polynomial has no large coefficient and
-    the other's *only* large coefficient is its constant one.
+    """First finite place where the shells test proves that the filled Julia
+    sets of f and g, and so their preperiodic points, do not meet.
 
-    This is the ball-versus-single-shell case of the shells test
-    (`julia_shells`, `shells_certify_disjoint`): there the two filled Julia
-    sets live at incompatible absolute values (|zeta| <= 1 versus
-    |zeta| = |b_0|^{1/d} > 1), so the preperiodic sets cannot meet.
-    Symmetrized over the pair; returns None if no place qualifies.
+    At each prime dividing a coefficient denominator, `julia_shells` gives the
+    radii |zeta|_v each filled Julia set can take and `shells_certify_disjoint`
+    compares them; at any other prime both are the unit ball.  Returns None if
+    no place qualifies.
     """
     for p in sorted(set(f.denominator_primes()) | set(g.denominator_primes())):
-        if {tuple(i for i, _ in h._large(p)) for h in (f, g)} == {(), (0,)}:
-            return PlaceQ.finite(p)
+        v = PlaceQ.finite(p)
+        if shells_certify_disjoint(julia_shells(f, v), julia_shells(g, v)):
+            return v
     return None
 
 

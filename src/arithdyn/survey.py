@@ -23,15 +23,13 @@ from .heights import pairing_bounds
 from .nonarchimedean import (
     BerkSetDescriptor,
     StrataHypothesisError,
-    julia_shells,
     mass_outside_unit,
-    shells_certify_disjoint,
     strata,
     strata_intersection_set,
     strata_union_set,
 )
 from .polynomials import MonicPoly, SliceSpec, classify_places, height, is_ordinary, sample
-from .preperiodic import CapExceeded, prep_intersect
+from .preperiodic import CapExceeded, disjoint_certificate, prep_intersect
 from .rationals import LogValue, PlaceQ, factorize
 
 __all__ = [
@@ -77,22 +75,18 @@ class SurveyConfig:
 def classify_case(f: MonicPoly, g: MonicPoly) -> int:
     """The proof's three-way split, symmetrized over the pair.
 
-    Case 1: some finite place certifies an empty intersection because the two
-    filled Julia sets have provably disjoint radius supports (explicit good
+    Case 1: `disjoint_certificate` finds a finite place where the two filled
+    Julia sets have provably disjoint radius supports (explicit good
     reduction gives the unit ball, the one-large-coefficient shapes pin the
     radii to one or three shells).  Case 2: not case 1, but some finite place
     has one map explicit-good while the other has a large non-constant
     coefficient (a `mass_outside_unit` witness).  Case 3: everything else.
     """
-    places = [
-        PlaceQ.finite(p) for p in sorted(set(f.denominator_primes()) | set(g.denominator_primes()))
-    ]
-    for v in places:
-        if shells_certify_disjoint(julia_shells(f, v), julia_shells(g, v)):
-            return 1
-    for v in places:
+    if disjoint_certificate(f, g) is not None:
+        return 1
+    for p in sorted(set(f.denominator_primes()) | set(g.denominator_primes())):
         for h, k in ((f, g), (g, f)):
-            if not h._large(v.p) and mass_outside_unit(k, v) is not None:
+            if not h._large(p) and mass_outside_unit(k, PlaceQ.finite(p)) is not None:
                 return 2
     return 3
 
@@ -130,6 +124,7 @@ class PrepSurveyResult:
             "X": self.config.X,
             "samples": len(self.rows),
             "failures": self.failures,
+            "inconclusive": sum(r.inconclusive for r in self.rows),
             "mean_shared": self.mean,
             "ci": [self.ci_lo, self.ci_hi],
             "case_freq": {str(k): v for k, v in sorted(self.case_freq.items())},
@@ -147,6 +142,7 @@ _CSV_COLUMNS = (
     "hf",
     "hg",
     "ordinary",
+    "inconclusive",
 )
 
 
@@ -172,7 +168,9 @@ def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
             if case == 1:
                 shared, inconclusive = 0, False
             else:
-                cert = prep_intersect(f, g, cfg.m_cap, cfg.n_cap, check_suspected_equal=False)
+                # classify_case has just run the certificate.
+                cert = prep_intersect(f, g, cfg.m_cap, cfg.n_cap, use_certificate=False,
+                                      check_suspected_equal=False)
                 shared = cert.matched_clusters
                 inconclusive = cert.verdict == "inconclusive"
             rep = pairing_bounds(f, g)
@@ -229,6 +227,7 @@ def write_survey_csv(result: PrepSurveyResult, path: str) -> None:
                     f"{r.hf:.12g}",
                     f"{r.hg:.12g}",
                     int(r.ordinary),
+                    int(r.inconclusive),
                 ]
             )
 

@@ -63,6 +63,11 @@ def test_local_profile_examples():
     assert p5.reduction == "explicit-good"
     assert p5.M.is_zero()
 
+    # a_1 and a_0 tie for R: |4|^(1/2) = |8|^(1/3) = 2
+    t = local_profile(MonicPoly.from_text("z^3 + 4z + 8"), PlaceQ.arch())
+    assert t.M == LogValue.from_rational(8)
+    assert t.R == LogValue.of_prime(2) + LogValue.of_prime(3)
+
 
 def test_height_examples():
     assert height(MonicPoly.make(2)).is_zero()
@@ -222,6 +227,26 @@ def _large(f, p):
     return [(i, -_ord(c, p)) for i, c in enumerate(f.coeffs) if c != 0 and abs_at(c, PlaceQ(p)) > 1]
 
 
+def _radii(f, p):
+    """The radius support of f's filled Julia set at p, from its definition:
+    "ball" with no large coefficient, the log-radii of the strata otherwise,
+    and "unknown" where the strata hypothesis fails."""
+    if not _large(f, p):
+        return "ball"
+    try:
+        return frozenset(strata(f, PlaceQ(p)).log_radii)
+    except StrataHypothesisError:
+        return "unknown"
+
+
+def _supports_disjoint(s, t):
+    if "unknown" in (s, t) or s == t == "ball":
+        return False
+    if "ball" in (s, t):
+        return min(t if s == "ball" else s) > 0
+    return not (s & t)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_polys)
 def test_place_table_consumers_match_coefficient_definitions(polys):
@@ -234,6 +259,11 @@ def test_place_table_consumers_match_coefficient_definitions(polys):
             assert local_profile(f, v).M == M
             total = total + M
             if v.is_arch:
+                r = LogValue.max(LogValue.zero(), *[
+                    LogValue.from_rational(abs(c)) * F(1, f.d - i)
+                    for i, c in enumerate(f.coeffs) if c != 0
+                ])
+                assert local_profile(f, v).R == LogValue.of_prime(3) + r
                 continue
             r = max([F(0)] + [F(m, f.d - i) for i, m in _large(f, v.p)])
             assert local_profile(f, v).R == LogValue.of_prime(v.p, r)
@@ -245,14 +275,10 @@ def test_place_table_consumers_match_coefficient_definitions(polys):
         assert height(f) == total
     f, g = polys
     if f != g:
-        witness = next(
-            (p for p in _PRIMES if sorted([[i for i, _ in _large(h, p)] for h in (f, g)]) == [[], [0]]),
-            None,
-        )
+        witness = next((p for p in _PRIMES if _supports_disjoint(_radii(f, p), _radii(g, p))), None)
         cert = disjoint_certificate(f, g)
         assert (cert and cert.p) == witness
-        if cert is not None:
-            assert classify_case(f, g) == 1
+        assert (classify_case(f, g) == 1) == (cert is not None)
         prof = classify_places(f, g)
         for p in _PRIMES:
             large = [("f", i) for i, _ in _large(f, p)] + [("g", i) for i, _ in _large(g, p)]

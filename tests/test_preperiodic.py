@@ -31,6 +31,11 @@ def test_disjoint_certificate_examples():
     assert disjoint_certificate(Z2, CHEB) is None
     # symmetrized: large constant on the first polynomial also fires
     assert disjoint_certificate(HALF, Z2).p == 2
+    # three shells 2^1, 2^0, 2^-1 against the one shell 2^(1/2)
+    f = MonicPoly.from_text("z^2+(1/2)z+1")
+    assert disjoint_certificate(f, HALF).p == 2
+    cert = prep_intersect(f, HALF)
+    assert (cert.verdict, cert.witness_place) == ("disjoint", 2)
 
 
 def test_preperiodic_complex_power_map():

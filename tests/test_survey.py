@@ -54,7 +54,7 @@ def test_survey_prep_reproducible_and_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == [
         "seed-index", "f", "g", "case", "shared_count",
-        "pairing_lo", "pairing_hi", "hf", "hg", "ordinary",
+        "pairing_lo", "pairing_hi", "hf", "hg", "ordinary", "inconclusive",
     ]
     assert len(rows) - 1 == 60 - res1.failures
     assert abs(sum(res1.case_freq.values()) - 1.0) < 1e-12
@@ -194,6 +194,18 @@ def test_constants_does_not_import_scipy():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+def test_survey_prep_reports_inconclusive_rows(tmp_path):
+    # 6^5 exceeds the degree budget, so every pair outside case 1 is inconclusive.
+    out = tmp_path / "rows.csv"
+    res = survey_average_prep(SurveyConfig(d=6, X=5, samples=20, seed=1, m_cap=5, out=str(out)))
+    inconclusive = [r.case != 1 for r in res.rows]
+    assert [r.inconclusive for r in res.rows] == inconclusive
+    assert res.to_json()["inconclusive"] == sum(inconclusive) > 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["inconclusive"] for r in rows] == [str(int(i)) for i in inconclusive]
 
 
 def test_survey_prep_counts_points_not_orbits():
