@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from fractions import Fraction
+from typing import List, Tuple
 
 import numpy as np
 
@@ -145,31 +146,157 @@ class EquilibriumSample:
         np.savetxt(path, arr, delimiter=",", header="re,im", comments="")
 
 
+_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)  # the cube roots of unity
+
+
+def _depressed(f: MonicPoly) -> Tuple[Fraction, List[Fraction]]:
+    """(s, c) with f(y + s) = sum_i c_i y^i exactly; s = -a_{d-1}/d, so c_{d-1} = 0."""
+    d = f.d
+    s = -f.coeffs[d - 1] / d
+    c = list(f.coeffs) + [Fraction(1)]
+    for i in range(d):  # Taylor shift by repeated synthetic division
+        for j in range(d - 1, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return s, c
+
+
+def _quadratic(b, c) -> Tuple[np.ndarray, np.ndarray]:
+    """Both roots of y^2 + b y + c, the one of larger modulus first and the
+    other as c divided by it, so neither loses digits to cancellation."""
+    disc = np.sqrt(b * b - 4.0 * c)
+    disc = np.where((np.conj(b) * disc).real >= 0, disc, -disc)
+    y1 = -0.5 * (b + disc)
+    return y1, np.divide(c, y1, out=np.zeros_like(y1), where=y1 != 0)
+
+
+def _cardano(p, q) -> np.ndarray:
+    """The three roots of y^3 + p y + q per row (Cardano); shape (n, 3).
+
+    With C a cube root of whichever of -q/2 +- sqrt(q^2/4 + p^3/27) has the
+    larger modulus, the roots are w^k C - p / (3 w^k C), w = e^(2 pi i / 3).
+    That modulus is at least sqrt(|p|^3 / 27), so C = 0 only where p = q = 0,
+    whose roots are all 0.
+    """
+    h = -0.5 * q
+    s = np.sqrt(h * h + p**3 / 27.0)
+    u3 = np.where((np.conj(h) * s).real >= 0, h + s, h - s)
+    C = np.cbrt(np.abs(u3)) * np.exp(1j * np.angle(u3) / 3.0)
+    D = np.divide(p / 3.0, C, out=np.zeros_like(C), where=C != 0)
+    return C[:, None] * _OMEGA - D[:, None] * _OMEGA.conj()
+
+
+def _ferrari(p: Fraction, q: Fraction, r: np.ndarray) -> np.ndarray:
+    """The four roots of y^4 + p y^2 + q y + r per row (Ferrari); shape (n, 4).
+
+    The branch follows the exact q.  For q = 0 the quartic is a quadratic in
+    y^2.  Otherwise the resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 has
+    roots multiplying to q^2/8, so its root m of largest modulus is not near
+    0, and the quartic splits as
+    (y^2 - s y + p/2 + m + q/(2s)) (y^2 + s y + p/2 + m - q/(2s)), s^2 = 2m.
+    """
+    pf, qf = float(p), float(q)
+    if q == 0:
+        z1, z2 = _quadratic(pf, r)
+        y1, y2 = np.sqrt(z1), np.sqrt(z2)
+        return np.stack([y1, -y1, y2, -y2], axis=-1)
+    # the resolvent, depressed by m = x - p/3
+    ms = _cardano(-pf * pf / 12.0 - r, pf * r / 3.0 - pf**3 / 108.0 - qf * qf / 8.0) - pf / 3.0
+    m = np.take_along_axis(ms, np.argmax(np.abs(ms), axis=1)[:, None], axis=1)[:, 0]
+    s = np.sqrt(2.0 * m)
+    k = 0.5 * qf / s
+    return np.stack([*_quadratic(-s, 0.5 * pf + m + k), *_quadratic(s, 0.5 * pf + m - k)], axis=-1)
+
+
+def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The polynomial with descending coefficients coeffs at each w
+    (np.polyval, updating one array in place instead of one per step)."""
+    v = coeffs[0] * w + coeffs[1]
+    for c in coeffs[2:]:
+        v *= w
+        v += c
+    return v
+
+
+def _newton(coeffs: np.ndarray, w: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Two Newton steps on f(w) - t from the roots w, in place; returns
+    (w, |f(w) - t|).
+
+    A step is kept only where it does not increase |f(w) - t|, which discards
+    the step at f'(w) = 0 and a jump off a multiple root, where f'(w) is
+    rounding noise.
+    """
+    dcoeffs = np.polyder(coeffs)
+    F = _horner(coeffs, w) - t
+    aF = np.abs(F)
+    for _ in range(2):
+        with np.errstate(all="ignore"):
+            w1 = w - F / _horner(dcoeffs, w)
+            F1 = _horner(coeffs, w1) - t
+            aF1 = np.abs(F1)
+            keep = aF1 <= aF
+        for old, new in ((w, w1), (F, F1), (aF, aF1)):
+            np.copyto(old, new, where=keep)
+    return w, aF
+
+
+def _companion_roots(f: MonicPoly, t: np.ndarray) -> np.ndarray:
+    """All d solutions of f(w) = t per target, as eigenvalues of companion matrices."""
+    d = f.d
+    comp = np.zeros((t.shape[0], d, d), dtype=complex)
+    idx = np.arange(d - 1)
+    comp[:, idx + 1, idx] = 1.0
+    for i in range(d):
+        comp[:, i, d - 1] = -complex(f.coeffs[i])
+    comp[:, 0, d - 1] += t
+    return np.linalg.eigvals(comp)
+
+
+def _within_tolerance(coeffs: np.ndarray, roots: np.ndarray, t: np.ndarray, resid=None) -> np.ndarray:
+    """Per root w of f(w) = t, whether |f(w) - t| <= 1e-6 (1 + |t| + |w|^d);
+    resid, when given, is |f(w) - t| already computed."""
+    tt = t[:, None]
+    if resid is None:
+        resid = np.abs(_horner(coeffs, roots) - tt)
+    return resid <= 1e-6 * (1.0 + np.abs(tt) + np.abs(roots) ** (len(coeffs) - 1))
+
+
 def _preimages_batch(f: MonicPoly, targets: np.ndarray) -> np.ndarray:
-    """All d solutions of f(w) = t for each target t; shape (len(targets), d)."""
+    """All d solutions of f(w) = t for each target t; shape (len(targets), d).
+
+    Solver by degree: the quadratic formula at d = 2; Cardano (d = 3) and
+    Ferrari (d = 4) on the depressed polynomial, each polished by 2 Newton
+    steps; eigenvalues of companion matrices (``np.linalg.eigvals``) at
+    d >= 5.  Every root w of every row is checked for
+    |f(w) - t| <= 1e-6 (1 + |t| + |w|^d).  The closed forms are not backward
+    stable: with coefficients of very different sizes, as in
+    z^3 + 10^6 z^2 + 1/3, they lose the small roots, so rows that fail the
+    check at d <= 4 are solved again by eigenvalues.  Raises
+    RootFindingError for a non-finite target and when a row still fails.
+    """
     d = f.d
     t = np.asarray(targets, dtype=complex)
+    if not np.all(np.isfinite(t)):
+        raise RootFindingError("inverse-iteration target is not finite")
+    coeffs = f.float_coeffs()
+    resid = None
     if d == 2:
         b = complex(f.coeffs[1])
         c = complex(f.coeffs[0])
         disc = np.sqrt(b * b - 4.0 * (c - t))
         roots = np.stack([(-b + disc) / 2.0, (-b - disc) / 2.0], axis=-1)
+    elif d <= 4:
+        s, c = _depressed(f)
+        r = float(c[0]) - t
+        y = _cardano(float(c[1]), r) if d == 3 else _ferrari(c[2], c[1], r)
+        roots, resid = _newton(coeffs, y + float(s), t[:, None])
     else:
-        n = t.shape[0]
-        comp = np.zeros((n, d, d), dtype=complex)
-        idx = np.arange(d - 1)
-        comp[:, idx + 1, idx] = 1.0
-        for i in range(d):
-            comp[:, i, d - 1] = -complex(f.coeffs[i])
-        comp[:, 0, d - 1] += t
-        roots = np.linalg.eigvals(comp)
-    # Residual sanity check on a spot sample; eig on companion matrices is
-    # backward stable, so failures indicate genuinely bad data.
-    probe = roots[:: max(1, roots.shape[0] // 16)]
-    tt = t[:: max(1, roots.shape[0] // 16)]
-    resid = np.abs(np.polyval(f.float_coeffs(), probe) - tt[:, None])
-    scale = 1.0 + np.abs(tt[:, None]) + np.abs(probe) ** d
-    if not np.all(resid <= 1e-6 * scale):
+        roots = _companion_roots(f, t)
+    ok = _within_tolerance(coeffs, roots, t, resid)
+    if d <= 4 and not ok.all():
+        redo = ~ok.all(axis=1)
+        roots[redo] = _companion_roots(f, t[redo])
+        ok = _within_tolerance(coeffs, roots, t)
+    if not ok.all():
         raise RootFindingError("inverse-iteration root solve failed residual check")
     return roots
 
@@ -181,7 +308,11 @@ def equilibrium_sample(f: MonicPoly, N: int, rng, expand_levels: int = 0) -> Equ
     sample is i.i.d. from the depth-n pullback of the start mass.  The last
     expand_levels generations may instead take *all* preimages of each chain
     endpoint (full tree expansion), which preserves per-point marginals and
-    makes low-order empirical moments exact.
+    makes low-order empirical moments exact.  Each generation solves
+    f(w) = t for every chain at once: by the quadratic formula at d = 2,
+    Cardano's formula at d = 3 and Ferrari's at d = 4 (both polished by 2
+    Newton steps), and companion-matrix eigenvalues at d >= 5 and for the
+    rows whose closed-form roots miss the residual check.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

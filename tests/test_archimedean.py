@@ -1,9 +1,14 @@
+import contextlib
+import itertools
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from arithdyn import archimedean
 from arithdyn import (
     MonicPoly,
     PlaceQ,
@@ -16,6 +21,7 @@ from arithdyn import (
     moment,
     sample,
 )
+from arithdyn.archimedean import RootFindingError, _preimages_batch
 
 Z2 = MonicPoly.make(2)
 CHEB = MonicPoly.from_text("z^2-2")
@@ -185,3 +191,158 @@ def test_arch_pairing_upper_bound(rng):
 def test_arch_pairing_requires_min_samples(rng):
     with pytest.raises(ValueError):
         arch_pairing(Z2, CHEB, 100, rng)
+
+
+# --- the preimage solve of inverse iteration --------------------------------
+
+
+def _companion_roots(f: MonicPoly, t: np.ndarray) -> np.ndarray:
+    """Roots of f(w) = t per target from companion-matrix eigenvalues."""
+    d = f.d
+    comp = np.zeros((t.shape[0], d, d), dtype=complex)
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    comp[:, :, d - 1] = [-complex(c) for c in f.coeffs]
+    comp[:, 0, d - 1] += t
+    return np.linalg.eigvals(comp)
+
+
+@contextlib.contextmanager
+def _closed_forms_only():
+    """Fail if the solve falls back to companion-matrix eigenvalues."""
+    with mock.patch.object(np.linalg, "eigvals", side_effect=AssertionError("fell back to eigvals")):
+        yield
+
+
+def _relative_residual(f: MonicPoly, roots: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return np.abs(f(roots) - t[:, None]) / (1 + np.abs(t[:, None]) + np.abs(roots) ** f.d)
+
+
+def _multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a_i - b_pi(i)| minimized over permutations pi, per row, then max."""
+    perms = np.array(list(itertools.permutations(range(a.shape[1]))))
+    return float(np.max(np.min(np.max(np.abs(a[:, None, :] - b[:, perms]), axis=2), axis=1)))
+
+
+_small_coeff = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+_solver_cases = st.integers(3, 4).flatmap(
+    lambda d: st.tuples(
+        st.lists(_small_coeff, min_size=d, max_size=d).map(lambda cs: MonicPoly(tuple(cs))),
+        st.lists(st.complex_numbers(max_magnitude=40, allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_solver_cases)
+def test_preimages_closed_forms_match_companion_eigvals(case):
+    f, targets = case
+    t = np.array(targets, dtype=complex)
+    ref = _companion_roots(f, t)
+    with _closed_forms_only():
+        roots = _preimages_batch(f, t)
+    scale = 1.0 + np.max(np.abs(ref))
+    # away from multiple roots, where both solvers are good to ~eps / separation
+    gaps = np.abs(ref[:, :, None] - ref[:, None, :]) + np.eye(f.d) * scale
+    assume(np.min(gaps) >= 1e-3 * scale)
+    assert _multiset_distance(roots, ref) <= 1e-9 * scale
+    assert np.allclose(roots.sum(axis=1), -float(f.coeffs[-1]), rtol=0, atol=1e-10 * scale)
+    assert np.max(_relative_residual(f, roots, t)) <= 2e-15
+
+
+_EDGE_CASES = [
+    # (f, target, the roots of f(w) = target)
+    ("z^3", 0, [0, 0, 0]),  # Cardano's C = 0
+    ("z^4", 0, [0, 0, 0, 0]),
+    ("z^3+3z^2+3z+5", 4, [-1, -1, -1]),  # (z+1)^3 + 4 at 4: depressed p = q = 0
+    ("z^3+3z^2+3z+5", 12, [1, -1 + 2 * np.exp(2j * np.pi / 3), -1 + 2 * np.exp(-2j * np.pi / 3)]),  # p = 0
+    ("z^4-5z^2+4", 0, [1, -1, 2, -2]),  # biquadratic: depressed q = 0
+    ("z^4-5z^2+4", 4, [0, 0, math.sqrt(5), -math.sqrt(5)]),
+    ("z^4-2z^2", -1, [1, 1, -1, -1]),  # biquadratic at its critical values
+    ("z^3-3z", 2, [-1, -1, 2]),  # f(c) at f'(c) = 0: double roots
+    ("z^3-3z", -2, [1, 1, -2]),
+    ("z^3+3z^2", 0, [0, 0, -3]),
+    ("z^3+3z^2", 4, [-2, -2, 1]),
+    ("z^4+4z", -3, [-1, -1, 1 + 1j * math.sqrt(2), 1 - 1j * math.sqrt(2)]),  # q = 4
+    ("z^4-4z^3+6z^2-4z+1", 0, [1, 1, 1, 1]),  # (z-1)^4
+]
+
+
+@pytest.mark.parametrize("text,target,expected", _EDGE_CASES)
+def test_preimages_closed_form_edge_cases(text, target, expected):
+    f = MonicPoly.from_text(text)
+    t = np.array([target], dtype=complex)
+    with _closed_forms_only():
+        roots = _preimages_batch(f, t)
+    exp = np.array([expected], dtype=complex)
+    k = max(expected.count(r) for r in expected)  # a k-fold root is good to ~eps^(1/k)
+    tol = max(1e-12, 10 * np.finfo(float).eps ** (1 / k))
+    assert _multiset_distance(roots, exp) <= tol
+    assert _multiset_distance(roots, _companion_roots(f, t)) <= tol
+    assert abs(roots.sum() + float(f.coeffs[-1])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "z^3-3z^2-6z",
+        "z^3+(3/2)z^2-6z+2",
+        "z^4+2z^3+z+3",
+        "z^4-5z^3+(2/3)z^2+4z-(4/3)",
+        "z^4+(4/3)z^3-(5/3)z^2-2z+1",
+        "z^4-5z^2+(1/1000000000)z+4",  # q near 0: the resolvent has a root near 0
+    ],
+)
+def test_preimages_at_critical_values(text):
+    """Targets at critical values give double roots, where f'(w) is rounding
+    noise: an unchecked Newton step dividing by it can jump off the root."""
+    f = MonicPoly.from_text(text)
+    t = f(np.roots(np.polyder(f.float_coeffs())))
+    with _closed_forms_only():
+        roots = _preimages_batch(f, t)
+    assert _multiset_distance(roots, _companion_roots(f, t)) <= 1e-6
+    assert np.max(_relative_residual(f, roots, t)) <= 2e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0), complex(-np.inf, 1)])
+def test_preimages_reject_non_finite_targets(d, bad):
+    f = MonicPoly.make(d, {0: F(1, 3), 1: F(-1)})
+    t = np.linspace(-1, 1, 40).astype(complex)
+    t[7] = bad
+    with pytest.raises(RootFindingError):
+        _preimages_batch(f, t)
+
+
+@pytest.mark.parametrize("text", ["z^2+1000000z+(1/3)", "z^3+1000000z^2+(1/3)", "z^4+100000z^3+(1/3)"])
+def test_preimages_badly_scaled_rows_fall_back_to_eigvals(text, rng):
+    """Coefficients of very different sizes: the closed forms lose the small
+    roots, and the rows that miss the residual check are solved again."""
+    f = MonicPoly.from_text(text)
+    t = np.array([0.5 + 0.1j, -2.0, 1e-3j, 1e6, -1e6 + 1e3j])
+    roots = _preimages_batch(f, t)
+    assert _multiset_distance(roots, _companion_roots(f, t)) <= 1e-9 * (1 + np.max(np.abs(roots)))
+    assert np.max(_relative_residual(f, roots, t)) <= 1e-9
+    assert equilibrium_sample(f, 500, rng).points.shape == (500,)
+
+
+@pytest.mark.parametrize("d,closed_form", [(3, "_cardano"), (4, "_ferrari"), (5, None)])
+def test_preimages_residual_check_covers_every_row(monkeypatch, d, closed_form):
+    """A wrong root in the last row, which a strided spot check would skip, is
+    caught; at d = 3, 4 the row is solved again by eigenvalues, wrong again."""
+
+    def corrupt(module, name):
+        solve = getattr(module, name)
+
+        def corrupted(*args):
+            roots = solve(*args).copy()
+            roots[-1, 0] += 100.0
+            return roots
+
+        monkeypatch.setattr(module, name, corrupted)
+
+    corrupt(np.linalg, "eigvals")
+    if closed_form:
+        corrupt(archimedean, closed_form)
+    f = MonicPoly.make(d, {0: F(1, 3), 1: F(-1)})
+    with pytest.raises(RootFindingError):
+        _preimages_batch(f, np.linspace(-1, 1, 63).astype(complex))
