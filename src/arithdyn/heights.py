@@ -241,9 +241,6 @@ class AlgebraicPoint:
         x = Fraction(x)
         return cls((-x.numerator, x.denominator))
 
-    def embeddings(self) -> np.ndarray:
-        return np.roots(np.array(self.min_poly[::-1], dtype=float))
-
 
 def _poly_mul_mod(a: List[Fraction], b: List[Fraction], m: Sequence[int]) -> List[Fraction]:
     D = len(m) - 1

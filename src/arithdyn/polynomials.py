@@ -367,9 +367,6 @@ class SliceSpec:
         if 0 in self.fixed:
             raise ValueError("slices may not fix a_0")
 
-    def free_indices(self, d: int) -> Tuple[int, ...]:
-        return tuple(i for i in range(d) if i not in self.fixed)
-
 
 def sample_rational(X: int, rng) -> Fraction:
     """Uniform over {x in Q : H(x) <= X} by gcd-filtered rejection."""

@@ -6,9 +6,12 @@ of rational preperiodic points.
 The points that f and g share at caps (m, n) are exactly the roots of
 gcd(prod (f^m - f^n), prod (g^m' - g^n')) over Q.  `prep_intersect` screens
 that gcd modulo one 31-bit prime dividing no leading coefficient, where a
-trivial gcd mod p proves a trivial gcd over Q (Brown, JACM 1971).  A common
-factor found by the screen is lifted and checked exactly when it is one
-rational point, and otherwise computed over Z and factored with sympy,
+trivial gcd mod p proves a trivial gcd over Q (Brown, JACM 1971).  The screen
+is one gcd over GF(p) that advances every pair of differences in lock-step
+(the divsteps of Bernstein and Yang, TCHES 2019), and a survey screens its
+pairs outside Case 1 in blocks, one prime and one such gcd per block.  A
+common factor found by the screen is lifted and checked exactly when it is
+one rational point, and otherwise computed over Z and factored with sympy,
 imported only then.  Every root of f^m - f^n is preperiodic, so no tolerance
 and no height check is involved.
 """
@@ -254,28 +257,60 @@ def _trim(a: List[int]) -> List[int]:
     return a
 
 
-def _rem(a: List[int], b: List[int], p: int) -> List[int]:
-    """Remainder of a by b over GF(p); b is reduced with b[-1] != 0."""
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    while len(a) > db:
-        q = a[-1] * inv % p
-        if q:
-            shift = len(a) - 1 - db
-            for k in range(db):
-                a[shift + k] = (a[shift + k] - q * b[k]) % p
-        a.pop()
-    return _trim(a)
+def _gcd_lanes(lanes: List[Tuple[List[int], List[int]]], p: int) -> List[List[int]]:
+    """Monic gcd over GF(p), as ascending residues, of each lane (a, b) of
+    integer polynomials (ascending), not both zero mod p.
 
+    The divsteps of Bernstein and Yang ("Fast constant-time gcd computation
+    and modular inversion", TCHES 2019, Theorem 6.2): let R0 be the operand of
+    larger degree D and R1 the other one, or R1 = lc(a) b - lc(b) a when the
+    degrees are equal, and put f = x^D R0(1/x), g = x^(D-1) R1(1/x), delta = 1.
+    After 2D - 1 steps of
 
-def _gcd_mod(a: List[int], b: List[int], p: int) -> List[int]:
-    """Monic gcd over GF(p) of two integer polynomials (ascending)."""
-    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
-    while b:
-        a, b = b, _rem(a, b, p)
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
+        swap = delta > 0 and g(0) != 0;  g <- (f(0) g - g(0) f) / x;
+        f <- old g and delta <- 1 - delta if swap, else delta <- 1 + delta,
+
+    the gcd has degree delta / 2 and is the reversal of the first delta/2 + 1
+    coefficients of f, divided by f(0).  The lanes of one D advance in
+    lock-step, one numpy operation per step for all of them.
+    """
+    assert 2 < p < 2**31  # every product of two residues is below 2^62
+    out: List[List[int]] = [[1]] * len(lanes)
+    groups: Dict[int, List[Tuple[int, List[int], List[int]]]] = {}
+    for k, (a, b) in enumerate(lanes):
+        a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+        if len(a) < len(b):
+            a, b = b, a
+        if not a:
+            raise ValueError("the gcd of two zero polynomials is undefined")
+        if len(a) > 1:  # a constant R0 has gcd 1
+            groups.setdefault(len(a) - 1, []).append((k, a, b))
+    for D, group in groups.items():
+        # Row i holds the coefficient of x^i of every lane: f = x^D R0(1/x)
+        # and G = x^D b(1/x).  The first step's update of g gives
+        # x^(D-1) R1(1/x), up to the unit lc(a) when deg b < D.
+        f = np.array([a[::-1] for _, a, _ in group], dtype=np.int64).T.copy()
+        G = np.array([[0] * (D + 1 - len(b)) + b[::-1] for _, _, b in group], dtype=np.int64).T
+        g = np.zeros_like(f)
+        g[:-1] = (f[0] * G[1:] - G[0] * f[1:]) % p
+        delta = np.ones(len(group), dtype=np.int64)
+        for n in range(2 * D - 1):
+            # After n steps every lane has deg f <= A and deg g <= A - delta
+            # with 2 A - delta = 2 D - 1 - n, so rows from w on are zero.
+            w = (2 * D + 1 - n + int(np.abs(delta).max())) // 2
+            f, g = f[:w], g[:w]
+            swap = (delta > 0) & (g[0] != 0)
+            # f(0) g - g(0) f has no constant term, so dropping row 0 divides by x.
+            h = (f[0] * g[1:] - g[0] * f[1:]) % p
+            f = np.where(swap, g, f)
+            g[:-1], g[-1] = h, 0
+            delta = np.where(swap, 1 - delta, 1 + delta)
+        for j, (k, _, _) in enumerate(group):
+            if delta[j] > 1:
+                head = f[: delta[j] // 2 + 1, j].tolist()
+                inv = pow(head[0], -1, p)
+                out[k] = [c * inv % p for c in reversed(head)]
+    return out
 
 
 def _is_root(a: List[int], x: Fraction) -> bool:
@@ -297,47 +332,52 @@ def _differences(f: MonicPoly, m_cap: int, n_cap: int) -> List[List[int]]:
     return out
 
 
-def _shared_min_polys(f: MonicPoly, g: MonicPoly, m_cap: int, n_cap: int) -> List[Tuple[int, ...]]:
-    """Integer minimal polynomials (ascending, primitive, positive leading
-    coefficient) of the points preperiodic for both f and g at the caps.
+def _shared_min_polys(
+    pairs: List[Tuple[List[List[int]], List[List[int]]]]
+) -> List[List[Tuple[int, ...]]]:
+    """For each pair (A, B) of two maps' `_differences`, the integer minimal
+    polynomials (ascending, primitive, positive leading coefficient) of the
+    points preperiodic for both maps at the caps.
 
-    They are the irreducible factors of gcd(prod A, prod B) over Q, where A
-    and B are the two maps' differences, i.e. of the pairwise gcd(a, b).  A
-    pair coprime modulo a prime p dividing neither leading coefficient is
-    coprime over Q, so most pairs are settled without sympy.
+    They are the irreducible factors of gcd(prod A, prod B) over Q, i.e. of
+    the pairwise gcd(a, b).  A pair coprime modulo a prime p dividing neither
+    leading coefficient is coprime over Q, so most pairs are settled without
+    sympy.  Every (a, b) of every pair is screened in one `_gcd_lanes` call
+    modulo the first prime below 2^31 that divides no leading coefficient.
     """
-    A, B = _differences(f, m_cap, n_cap), _differences(g, m_cap, n_cap)
-    lead = math.prod(a[-1] for a in A + B)
+    lead = math.prod(c[-1] for A, B in pairs for c in A + B)
     p = 2**31 - 1
     while lead % p == 0:
         p = next(q for q in range(p - 2, 2, -2) if is_prime(q))
-    factors, rest = set(), []
-    for a in A:
-        for b in B:
-            c = _gcd_mod(a, b, p)
-            if len(c) == 1:
-                continue
-            if len(c) == 2:
-                # At most one common root u/v over Q, with v | l, so that
-                # l (z + c[0]) = (l/v) (v z - u) mod p: lift it and check it
-                # exactly.  Shared rational points thus never import sympy,
-                # which keeps it out of the surveys.
-                l = gcd(a[-1], b[-1])
-                s = l * c[0] % p
-                x = Fraction(p - s if s > p // 2 else -s, l)
-                if _is_root(a, x) and _is_root(b, x):
-                    factors.add((-x.numerator, x.denominator))
+    lanes = [(a, b) for A, B in pairs for a in A for b in B]
+    gcds = iter(_gcd_lanes(lanes, p))
+    out = []
+    for A, B in pairs:
+        factors = set()
+        for a in A:
+            for b in B:
+                c = next(gcds)
+                if len(c) == 1:
                     continue
-            rest.append((a, b))
-    if rest:
-        import sympy
+                if len(c) == 2:
+                    # At most one common root u/v over Q, with v | l, so that
+                    # l (z + c[0]) = (l/v) (v z - u) mod p: lift it and check
+                    # it exactly.  Shared rational points thus never import
+                    # sympy, which keeps it out of the surveys.
+                    l = gcd(a[-1], b[-1])
+                    s = l * c[0] % p
+                    x = Fraction(p - s if s > p // 2 else -s, l)
+                    if _is_root(a, x) and _is_root(b, x):
+                        factors.add((-x.numerator, x.denominator))
+                        continue
+                import sympy
 
-        z = sympy.Symbol("z")
-        for a, b in rest:
-            common = sympy.Poly(a[::-1], z, domain="ZZ").gcd(sympy.Poly(b[::-1], z, domain="ZZ"))
-            for factor, _ in common.factor_list()[1]:
-                factors.add(tuple(int(c) for c in reversed(factor.all_coeffs())))
-    return sorted(factors)
+                z = sympy.Symbol("z")
+                common = sympy.Poly(a[::-1], z, domain="ZZ").gcd(sympy.Poly(b[::-1], z, domain="ZZ"))
+                for factor, _ in common.factor_list()[1]:
+                    factors.add(tuple(int(c) for c in reversed(factor.all_coeffs())))
+        out.append(sorted(factors))
+    return out
 
 
 def prep_intersect(
@@ -367,9 +407,10 @@ def prep_intersect(
         if w is not None:
             return PrepCertificate("disjoint", w.p, (), m_cap, n_cap)
     try:
-        min_polys = _shared_min_polys(f, g, m_cap, n_cap)
+        pair = (_differences(f, m_cap, n_cap), _differences(g, m_cap, n_cap))
     except CapExceeded:
         return PrepCertificate("inconclusive", None, (), m_cap, n_cap)
+    (min_polys,) = _shared_min_polys([pair])
     count = sum(len(mp) - 1 for mp in min_polys)
     suspected = (
         check_suspected_equal
@@ -393,8 +434,10 @@ def _suspect_equal(f, g, m_cap, n_cap, base_count) -> bool:
     counts = [base_count]
     for bump in (1, 2):
         try:
-            mps = _shared_min_polys(f, g, m_cap + bump, n_cap + bump)
+            m, n = m_cap + bump, n_cap + bump
+            pair = (_differences(f, m, n), _differences(g, m, n))
         except CapExceeded:
             break
+        (mps,) = _shared_min_polys([pair])
         counts.append(sum(len(mp) - 1 for mp in mps))
     return len(counts) >= 3 and all(c > threshold for c in counts)

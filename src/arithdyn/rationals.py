@@ -263,9 +263,6 @@ class LogValue:
     def __float__(self) -> float:
         return float(sum(float(q) * math.log(p) for p, q in self._c.items()))
 
-    def to_float(self) -> float:
-        return float(self)
-
     def __add__(self, other: "LogValue") -> "LogValue":
         c = dict(self._c)
         for p, q in other._c.items():

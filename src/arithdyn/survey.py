@@ -29,7 +29,7 @@ from .nonarchimedean import (
     strata_union_set,
 )
 from .polynomials import MonicPoly, SliceSpec, classify_places, height, is_ordinary, sample
-from .preperiodic import CapExceeded, disjoint_certificate, prep_intersect
+from .preperiodic import CapExceeded, _differences, _shared_min_polys, disjoint_certificate
 from .rationals import LogValue, PlaceQ, factorize
 
 __all__ = [
@@ -70,6 +70,8 @@ class SurveyConfig:
             raise ValueError("sample count must be >= 1")
         if not (0 < self.eps < 0.25):
             raise ValueError("eps must lie in (0, 1/4)")
+        if self.m_cap < 1 or self.n_cap < 0:
+            raise ValueError("caps must satisfy m_cap >= 1 and n_cap >= 0")
 
 
 def classify_case(f: MonicPoly, g: MonicPoly) -> int:
@@ -131,6 +133,9 @@ class PrepSurveyResult:
         }
 
 
+# Non-case-1 pairs screened together by one `_shared_min_polys` call.
+_SCREEN_BLOCK = 16
+
 _CSV_COLUMNS = (
     "seed-index",
     "f",
@@ -150,12 +155,20 @@ def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
     """Sample pairs from S(X) (or a slice), classify into cases 1/2/3, count
     the shared preperiodic points at the configured caps, and aggregate.
 
-    A sample that raises CapExceeded or ArithmeticError is counted in
-    `failures`; any other exception propagates."""
+    Case 1 pairs share no point.  The other pairs are screened in blocks of
+    `_SCREEN_BLOCK`, so that one lock-step gcd serves a whole block; a pair
+    whose iterates exceed the degree budget gives an inconclusive row.  A
+    sample that raises ArithmeticError, or CapExceeded outside its iterates,
+    is counted in `failures`; any other exception propagates."""
     master = np.random.SeedSequence(cfg.seed)
     children = master.spawn(cfg.samples + 1)
-    rows: List[SurveyRow] = []
-    failures = 0
+    failed: List[int] = []
+
+    def fail(i: int, exc: Exception) -> None:
+        log.warning("sample %d failed and was excluded: %s", i, exc)
+        failed.append(i)
+
+    drawn: List[Tuple[int, MonicPoly, MonicPoly, int]] = []
     for i in range(cfg.samples):
         rng = np.random.default_rng(children[i])
         try:
@@ -165,14 +178,31 @@ def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
                 g = sample(cfg.d, cfg.X, rng, centered=False, slice=cfg.slice)
             case = classify_case(f, g)
             assert case in (1, 2, 3) and f != g
-            if case == 1:
-                shared, inconclusive = 0, False
-            else:
-                # classify_case has just run the certificate.
-                cert = prep_intersect(f, g, cfg.m_cap, cfg.n_cap, use_certificate=False,
-                                      check_suspected_equal=False)
-                shared = cert.matched_clusters
-                inconclusive = cert.verdict == "inconclusive"
+            drawn.append((i, f, g, case))
+        except (CapExceeded, ArithmeticError) as exc:
+            fail(i, exc)
+
+    # Shared count by sample index, None for an inconclusive row.
+    shared: Dict[int, Optional[int]] = {i: 0 for i, _, _, case in drawn if case == 1}
+    rest = [(i, f, g) for i, f, g, case in drawn if case != 1]
+    m, n = cfg.m_cap, cfg.n_cap
+    for start in range(0, len(rest), _SCREEN_BLOCK):
+        block = []
+        for i, f, g in rest[start : start + _SCREEN_BLOCK]:
+            try:
+                block.append((i, (_differences(f, m, n), _differences(g, m, n))))
+            except CapExceeded:
+                shared[i] = None
+            except ArithmeticError as exc:
+                fail(i, exc)
+        for (i, _), min_polys in zip(block, _shared_min_polys([pair for _, pair in block])):
+            shared[i] = sum(len(mp) - 1 for mp in min_polys)
+
+    rows: List[SurveyRow] = []
+    for i, f, g, case in drawn:
+        if i not in shared:
+            continue
+        try:
             rep = pairing_bounds(f, g)
             ok, _ = is_ordinary(f, g, cfg.X, cfg.eps)
             rows.append(
@@ -181,18 +211,18 @@ def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
                     f.to_text(),
                     g.to_text(),
                     case,
-                    shared,
+                    shared[i] or 0,
                     rep.total_lo,
                     rep.total_hi,
                     float(height(f)),
                     float(height(g)),
                     ok,
-                    inconclusive,
+                    shared[i] is None,
                 )
             )
         except (CapExceeded, ArithmeticError) as exc:
-            log.warning("sample %d failed and was excluded: %s", i, exc)
-            failures += 1
+            fail(i, exc)
+    failures = len(failed)
     counts = np.array([r.shared_count for r in rows], dtype=float)
     mean = float(np.mean(counts)) if len(counts) else float("nan")
     boot_rng = np.random.default_rng(children[-1])

@@ -17,7 +17,7 @@ from arithdyn import (
     rational_prep,
     sample,
 )
-from arithdyn.preperiodic import CapExceeded
+from arithdyn.preperiodic import CapExceeded, _differences, _gcd_lanes, _shared_min_polys
 
 Z2 = MonicPoly.make(2)
 CHEB = MonicPoly.from_text("z^2-2")
@@ -195,6 +195,74 @@ def test_prep_intersect_finds_shared_fixed_points(q, s, t):
         found *= sympy.Poly(mp[::-1], z, domain="QQ")
     shared = sympy.Poly([1] + q[::-1], z, domain="QQ").sqf_part()
     assert found.rem(shared).is_zero, (f.to_text(), g.to_text())
+
+
+def _residues(a, p):
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _euclid_mod(a, b, p):
+    """Monic gcd over GF(p) by schoolbook Euclid, one coefficient at a time."""
+    a, b = _residues(a, p), _residues(b, p)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, s = a[-1] * inv % p, len(a) - len(b)
+            a = _residues([c - q * b[i - s] if i >= s else c for i, c in enumerate(a)], p)
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_ints = st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=9)
+_small = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+_lane = st.one_of(
+    st.tuples(_ints, _ints),  # mostly unequal degrees
+    st.builds(lambda a, c: (a, [c * x for x in a]), _ints, st.integers(-5, 5)),
+    st.tuples(_ints, st.integers(-9, 9).map(lambda c: [c])),  # constant lanes
+    st.builds(lambda q, a, b: (_times(q + [1], a), _times(q + [1], b)), _small, _small, _small),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_lane, min_size=1, max_size=8), st.sampled_from([7, 101, 2**31 - 1]))
+def test_gcd_lanes_matches_scalar_euclid(lanes, p):
+    # Lanes of several degrees D share one call; both operands zero is undefined.
+    lanes = [(a, b) for a, b in lanes if _residues(a, p) or _residues(b, p)]
+    assert _gcd_lanes(lanes, p) == [_euclid_mod(a, b, p) for a, b in lanes]
+
+
+def test_prime_fallback_alone_and_in_a_block():
+    # P divides the leading coefficients of f's iterate differences, so the
+    # screen falls back to the next prime below it; modulo P the factor
+    # P z + P + 1 of the shared point -(P + 1)/P is a unit, and the screen
+    # would miss it.
+    P = 2**31 - 1
+    f = MonicPoly((F(0), 1 + F(1, P)))
+    cases = [
+        (Z2, (3, 2), [(0, 1), (1, 1)]),
+        (MonicPoly((F(-1, P), F(1, P))), (2, 1), [(0, 1), (1, P), (P + 1, P)]),
+    ]
+    for g, caps, min_polys in cases:
+        fg = (_differences(f, *caps), _differences(g, *caps))
+        assert any(a[-1] % P == 0 for a in fg[0])
+        cheb = (_differences(Z2, *caps), _differences(CHEB, *caps))
+        (shared_cheb,) = _shared_min_polys([cheb])
+        assert _shared_min_polys([fg]) == [min_polys]
+        assert _shared_min_polys([cheb, fg, cheb]) == [shared_cheb, min_polys, shared_cheb]
+        cert = prep_intersect(f, g, *caps, use_certificate=False)
+        assert sorted(p.min_poly for p in cert.points) == min_polys
 
 
 def test_certificate_implies_no_matches(rng):

@@ -30,6 +30,10 @@ def test_survey_config_validation():
         SurveyConfig(d=2, X=5, samples=0)
     with pytest.raises(ValueError):
         SurveyConfig(d=2, X=5, samples=1, eps=0.3)
+    with pytest.raises(ValueError):
+        SurveyConfig(d=2, X=5, samples=1, m_cap=0)
+    with pytest.raises(ValueError):
+        SurveyConfig(d=2, X=5, samples=1, n_cap=-1)
 
 
 def test_classify_case_examples():
@@ -228,6 +232,43 @@ def test_survey_prep_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in the intersection layer")
 
-    monkeypatch.setattr("arithdyn.survey.prep_intersect", broken)
+    monkeypatch.setattr("arithdyn.survey._shared_min_polys", broken)
     with pytest.raises(TypeError):
         survey_average_prep(SurveyConfig(d=2, X=2, samples=20, seed=0))
+
+
+def test_survey_prep_fails_only_the_sample_that_raises(monkeypatch):
+    import arithdyn.survey as survey
+
+    cfg = SurveyConfig(d=2, X=2, samples=40, seed=0, m_cap=3, n_cap=2)
+    clean = survey_average_prep(cfg).rows
+    target = next(r.f for r in clean if r.case != 1)
+    differences = survey._differences
+
+    def overflowing(f, m_cap, n_cap):
+        if f.to_text() == target:
+            raise OverflowError("iterate too large")
+        return differences(f, m_cap, n_cap)
+
+    monkeypatch.setattr(survey, "_differences", overflowing)
+    res = survey_average_prep(cfg)
+    hit = [r for r in clean if r.case != 1 and target in (r.f, r.g)]
+    assert res.failures == len(hit) >= 1
+    assert len(res.rows) + res.failures == cfg.samples
+    assert res.rows == tuple(r for r in clean if r not in hit)
+
+
+@pytest.mark.parametrize("d, X, samples, m_cap, n_cap", [(6, 5, 200, 2, 1), (2, 2, 100, 3, 2)])
+def test_survey_prep_blocks_match_one_pair_prep_intersect(d, X, samples, m_cap, n_cap):
+    from arithdyn import prep_intersect
+
+    res = survey_average_prep(SurveyConfig(d=d, X=X, samples=samples, seed=0, m_cap=m_cap, n_cap=n_cap))
+    assert sum(r.case != 1 for r in res.rows) > 16  # more than one screening block
+    for r in res.rows:
+        cert = prep_intersect(
+            MonicPoly.from_text(r.f), MonicPoly.from_text(r.g), m_cap, n_cap,
+            use_certificate=r.case == 1, check_suspected_equal=False,
+        )
+        assert (r.shared_count, r.inconclusive) == (
+            cert.matched_clusters, cert.verdict == "inconclusive"
+        ), r
