@@ -1,6 +1,6 @@
 """Archimedean dynamics: escape-rate Green's function, equilibrium-measure
 sampling by inverse iteration, moments, Hoelder constants, and the
-archimedean energy pairing.
+archimedean energy pairing by preimage-tree quadrature.
 
 Green's function evaluation is escape-based: once an orbit leaves the ball
 that provably contains the filled Julia set, |f(z)| tracks |z|^d up to a
@@ -351,44 +351,68 @@ def moment(s: EquilibriumSample, k: int) -> complex:
 
 @dataclass(frozen=True)
 class ArchPairing:
-    """Symmetrized archimedean pairing estimate with bootstrap errors."""
+    """Symmetrized archimedean pairing from preimage-tree quadrature.
+
+    The errors are convergence estimates read off the last tree levels,
+    not certified bounds.
+    """
 
     value: float
-    stderr: float
-    side_fg: float  # mean of G_f over a sample of mu_g
+    err: float
+    side_fg: float  # int G_f d(mu_g), from the preimage tree of g
     side_gf: float
-    stderr_fg: float
-    stderr_gf: float
+    err_fg: float
+    err_gf: float
 
 
-def _bootstrap_se(vals: np.ndarray, rng, B: int = 200) -> float:
-    n = vals.shape[0]
-    idx = rng.integers(0, n, size=(B, n))
-    return float(np.std(np.mean(vals[idx], axis=1), ddof=1))
+def _tree_side(f: MonicPoly, g: MonicPoly, N: int, tol: float) -> Tuple[float, float]:
+    """(estimate, error) of int G_g d(mu_f) from the full preimage tree of f.
+
+    Level k of the tree is all d^k solutions of f^k(w) = b, b = R + 1; the
+    mean E_k of G_g over it tends to the integral at a rate of about d^-k.
+    The tree stops at the first level n >= 2 with d^n >= N.  The estimate
+    is the half extrapolation step E_n - (E_{n-1} - E_n) / (2(d - 1)): the
+    full step is exact when E_k converges geometrically, as for the
+    Chebyshev pair, but overshoots where it converges faster, as for
+    disconnected Julia sets.  The error is
+    max(|E_{n-1} - E_n|, |E_{n-2} - E_{n-1}| / d) / (d - 1) + tol E_n; the
+    last step alone can be small by accident where E_k converges unevenly.
+    """
+    d = f.d
+    R, _, _ = _arch_params(f)
+    n = 2
+    while d**n < N:
+        n += 1
+    z = np.array([R + 1.0], dtype=complex)
+    means = []  # E_{n-2}, E_{n-1}, E_n
+    for k in range(n + 1):
+        if k:
+            z = _preimages_batch(f, z).reshape(-1)
+        if k >= n - 2:
+            means.append(float(np.mean(green_arch_many(g, z, tol))))
+    e2, e1, e0 = means
+    err = max(abs(e1 - e0), abs(e2 - e1) / d) / (d - 1) + tol * e0
+    return e0 - 0.5 * (e1 - e0) / (d - 1), err
 
 
 def arch_pairing(f: MonicPoly, g: MonicPoly, N: int, rng, tol: float = 1e-10) -> ArchPairing:
-    """Estimate of the archimedean local pairing int G_f d(mu_g).
+    """The archimedean local pairing int G_f d(mu_g), by preimage-tree quadrature.
 
-    Symmetrized over the two one-sided estimators; nonnegative because G >= 0
-    pointwise.  Requires N >= 1000 so the bootstrap error is meaningful.
+    Each side averages one map's Green's function over the full preimage
+    tree of the other, of at least N nodes (_tree_side).  The value is the
+    mean of the two sides, clipped at 0 because G >= 0, and its error the
+    mean of their errors.  Deterministic and symmetric in (f, g): rng is
+    accepted but not drawn from.  Requires N >= 1000.
     """
     if N < 1000:
         raise ValueError("N must be >= 1000")
-    seeds = rng.integers(0, 2**63 - 1, size=4)
-    s_g = equilibrium_sample(g, N, np.random.default_rng(int(seeds[0])))
-    s_f = equilibrium_sample(f, N, np.random.default_rng(int(seeds[1])))
-    vals_fg = green_arch_many(f, s_g.points, tol)
-    vals_gf = green_arch_many(g, s_f.points, tol)
-    m_fg = float(np.mean(vals_fg))
-    m_gf = float(np.mean(vals_gf))
-    se_fg = _bootstrap_se(vals_fg, np.random.default_rng(int(seeds[2])))
-    se_gf = _bootstrap_se(vals_gf, np.random.default_rng(int(seeds[3])))
+    m_fg, e_fg = _tree_side(g, f, N, tol)
+    m_gf, e_gf = _tree_side(f, g, N, tol)
     return ArchPairing(
-        value=0.5 * (m_fg + m_gf),
-        stderr=0.5 * math.hypot(se_fg, se_gf),
+        value=max(0.0, 0.5 * (m_fg + m_gf)),
+        err=0.5 * (e_fg + e_gf),
         side_fg=m_fg,
         side_gf=m_gf,
-        stderr_fg=se_fg,
-        stderr_gf=se_gf,
+        err_fg=e_fg,
+        err_gf=e_gf,
     )

@@ -78,8 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairing", help="global energy pairing report")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--samples", type=int, default=4000,
+        help="minimum number of preimage-tree nodes per side of the archimedean term",
+    )
+    p.add_argument("--seed", type=int, default=0, help="accepted but unused: a pairing is deterministic")
     p.add_argument("--bounds-only", action="store_true", help="sampling-free interval enclosure")
 
     p = sub.add_parser("prep-intersect", help="exact common preperiodic points")

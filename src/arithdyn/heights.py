@@ -4,7 +4,8 @@ energy pairings with exactness tags, and the bound/sandwich evaluators.
 Per-place pairing contributions are exact at places where one polynomial has
 a single large coefficient and everything else is small (the value is then
 read off the Gauss point), honest intervals at the remaining bad places, and
-Monte-Carlo with a bootstrap error at the archimedean place.
+a deterministic preimage-tree quadrature with a convergence error estimate
+at the archimedean place.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .archimedean import arch_pairing, green_arch
 from .polynomials import MonicPoly, height, local_profile
@@ -491,12 +490,15 @@ def _finite_entries(f: MonicPoly, g: MonicPoly) -> Tuple[List[PlaceEntry], LogVa
 
 def global_pairing(f: MonicPoly, g: MonicPoly, N: int = 4000, rng=None) -> PairingReport:
     """Global energy pairing <mu_f, mu_g>: exact good places, bad-place
-    intervals, Monte-Carlo archimedean term with bootstrap error."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+    intervals, and the archimedean term v from preimage-tree quadrature on
+    at least N nodes per side (arch_pairing), entered as [max(v - 2 err, 0),
+    v + 2 err] with its convergence estimate err.  Deterministic: rng is
+    accepted but not drawn from."""
     if f == g:
         entry = PlaceEntry("inf", "exact", "trivial", 0.0, 0.0, LogValue.zero())
         return PairingReport(f, g, (entry,), 0.0, 0.0, LogValue.zero())
+    if f.d != g.d:
+        raise ValueError("pairing formulas require equal degrees")
     entries, exact_sum = _finite_entries(f, g)
     ap = arch_pairing(f, g, N, rng)
     entries.append(
@@ -504,10 +506,10 @@ def global_pairing(f: MonicPoly, g: MonicPoly, N: int = 4000, rng=None) -> Pairi
             "inf",
             "numeric",
             "archimedean",
-            max(ap.value - 2 * ap.stderr, 0.0),
-            ap.value + 2 * ap.stderr,
+            max(ap.value - 2 * ap.err, 0.0),
+            ap.value + 2 * ap.err,
             None,
-            ap.stderr,
+            ap.err,
         )
     )
     lo = sum(e.lo for e in entries)

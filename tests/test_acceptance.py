@@ -92,7 +92,7 @@ def test_criterion_05_pairing_metric():
         # self-pairing through the actual sampling machinery
         for f in (Z2, CHEB, ad.MonicPoly.from_text("z^3+(1/2)z+1")):
             ap = ad.arch_pairing(f, f, 4000, rng)
-            assert ap.value <= 2 * max(ap.stderr, 1e-4)
+            assert ap.value <= 2 * max(ap.err, 1e-4)
             rep = ad.global_pairing(f, f, 2000, rng)
             assert rep.total_hi <= 2 * 1e-4
         done = 0

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arithdyn import archimedean
 from arithdyn import (
@@ -14,6 +14,7 @@ from arithdyn import (
     PlaceQ,
     arch_pairing,
     equilibrium_sample,
+    global_pairing,
     green_arch,
     green_arch_many,
     holder_constants,
@@ -167,14 +168,14 @@ def test_moment_examples(rng):
 def test_arch_pairing_self_and_oracle(rng):
     ap = arch_pairing(CHEB, CHEB, 4000, rng)
     assert ap.value >= 0
-    assert ap.value <= 3 * max(ap.stderr, 1e-4)
+    assert ap.value <= 3 * max(ap.err, 1e-4)
     ap2 = arch_pairing(Z2, CHEB, 10**4, rng)
     from scipy.integrate import quad
 
     oracle = (2 / math.pi) * quad(lambda t: math.log(2 * math.cos(t)), 0, math.pi / 3)[0]
-    assert abs(ap2.value - oracle) <= max(4 * ap2.stderr, 0.01)
+    assert abs(ap2.value - oracle) <= max(4 * ap2.err, 0.01)
     # one-sided estimates agree within combined errors
-    assert abs(ap2.side_fg - ap2.side_gf) <= 4 * (ap2.stderr_fg + ap2.stderr_gf) + 0.01
+    assert abs(ap2.side_fg - ap2.side_gf) <= 4 * (ap2.err_fg + ap2.err_gf) + 0.01
 
 
 def test_arch_pairing_upper_bound(rng):
@@ -191,6 +192,64 @@ def test_arch_pairing_upper_bound(rng):
 def test_arch_pairing_requires_min_samples(rng):
     with pytest.raises(ValueError):
         arch_pairing(Z2, CHEB, 100, rng)
+
+
+# --- preimage-tree quadrature -----------------------------------------------
+
+
+def test_arch_pairing_is_deterministic_and_symmetric():
+    f = MonicPoly.from_text("z^3+(1/2)z+1")
+    g = MonicPoly.from_text("z^3-2z")
+    ap = arch_pairing(f, g, 2000, np.random.default_rng(1))
+    assert arch_pairing(f, g, 2000, np.random.default_rng(2)) == ap
+    swapped = arch_pairing(g, f, 2000, np.random.default_rng(3))
+    assert swapped.value == ap.value and swapped.err == ap.err
+    assert (swapped.side_fg, swapped.side_gf) == (ap.side_gf, ap.side_fg)
+
+
+_pairing_cases = st.tuples(st.integers(2, 5), st.sampled_from((2, 10, 100))).flatmap(
+    lambda dX: st.lists(
+        st.lists(st.builds(F, st.integers(-dX[1], dX[1]), st.integers(1, dX[1])), min_size=dX[0], max_size=dX[0]),
+        min_size=2,
+        max_size=2,
+        unique_by=tuple,
+    ).map(lambda cs: (MonicPoly(tuple(cs[0])), MonicPoly(tuple(cs[1]))))
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_pairing_cases)
+# E_k of one side moves 1e-5 from level 5 to 6 after only 1e-5 from 4 to 5
+@example((MonicPoly.from_text("z^5+(1/2)z^4-z^3-z^2+z-1"), MonicPoly.from_text("z^5+(1/2)z^4-2z^3-z+1")))
+def test_arch_pairing_sides_agree_within_errors(pair):
+    # int G_f d(mu_g) = int G_g d(mu_f), so the two trees estimate one number
+    ap = arch_pairing(*pair, 1000, None)
+    assert ap.value >= 0
+    assert abs(ap.side_fg - ap.side_gf) <= ap.err_fg + ap.err_gf
+
+
+# (f, g, N): the Chebyshev pair converges geometrically, at rate 1/d per
+# tree level; the disconnected Julia set of z^2 + 1/2 much faster.
+_REGIMES = [
+    ("z^2", "z^2-2", 1000),
+    ("z^2", "z^2-2", 4000),
+    ("z^2+1/2", "z^2+2z+1", 1000),
+    ("z^2+1/2", "z^2+2z+1", 4000),
+]
+
+
+@pytest.mark.parametrize("f, g, N", _REGIMES)
+def test_global_pairing_interval_holds_deeper_tree(f, g, N):
+    f, g = MonicPoly.from_text(f), MonicPoly.from_text(g)
+    entry = next(e for e in global_pairing(f, g, N).entries if e.place == "inf")
+    deep = arch_pairing(f, g, 2**18, None).value
+    assert entry.lo <= deep <= entry.hi
+    if f == Z2:
+        from scipy.integrate import quad
+
+        exact = (2 / math.pi) * quad(lambda t: math.log(2 * math.cos(t)), 0, math.pi / 3)[0]
+        assert abs(deep - exact) <= 1e-6
+        assert entry.lo <= exact <= entry.hi
 
 
 # --- the preimage solve of inverse iteration --------------------------------

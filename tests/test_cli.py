@@ -57,6 +57,8 @@ def test_pairing_seed_reproducibility(capsys):
     _, out1, _ = run_cli(capsys, "pairing", "z^2", "z^2-2", "--seed", "7", "--samples", "2000")
     _, out2, _ = run_cli(capsys, "pairing", "z^2", "z^2-2", "--seed", "7", "--samples", "2000")
     assert out1 == out2
+    _, out3, _ = run_cli(capsys, "pairing", "z^2", "z^2-2", "--seed", "8", "--samples", "2000")
+    assert out3 == out1
 
 
 def test_prep_intersect_command(capsys):
@@ -125,6 +127,12 @@ def test_usage_and_compute_errors(capsys):
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "prep-intersect", "z^2", "z^2")
     assert code == 2
+
+
+def test_pairing_of_unequal_degrees_is_a_compute_error(capsys):
+    for extra in ((), ("--bounds-only",)):
+        code, out, err = run_cli(capsys, "pairing", "z^2", "z^3-1", *extra)
+        assert code == 2 and out == "" and "equal degrees" in err
 
 
 def test_internal_check_failure_has_its_own_exit_code(capsys, monkeypatch):

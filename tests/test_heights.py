@@ -170,6 +170,15 @@ def test_global_pairing_self_and_benchmark(rng):
     assert all(e.lo >= 0.0 for e in rep2.entries)
 
 
+def test_pairings_reject_unequal_degrees():
+    # with and without a denominator prime, f or g of the larger degree
+    for f, g in (("z^2", "z^3-1"), ("z^2+1/2", "z^3"), ("z^3", "z^2")):
+        f, g = MonicPoly.from_text(f), MonicPoly.from_text(g)
+        for pairing in (global_pairing, pairing_bounds):
+            with pytest.raises(ValueError, match="equal degrees"):
+                pairing(f, g)
+
+
 def test_global_pairing_ordinary_exact_lower(rng):
     # epsilon-ordinary pair: lower endpoint >= sum of exact good-place terms,
     # and the exact identity sum_good = (h(f)+h(g))/d - bad/d - arch/d holds
