@@ -6,7 +6,16 @@ Green's function evaluation is escape-based: once an orbit leaves the ball
 that provably contains the filled Julia set, |f(z)| tracks |z|^d up to a
 geometrically shrinking correction, so iterating a few more steps and reading
 off d^-n log|z_n| gives the value to relative accuracy far below any
-requested tolerance.
+requested tolerance.  An orbit still inside the escape threshold after n
+steps has G at most d^-n times the supremum of G on the threshold disc, so
+once that product is below the tolerance the point counts as bounded.
+
+Inverse iteration solves f(w) = t for all d roots of many targets at once:
+by the quadratic formula at d = 2, by Cardano's and Ferrari's formulas at
+d = 3 and 4, and by the Aberth-Ehrlich iteration at d >= 5, whose rows are
+kept only when the roots' Weierstrass inclusion discs are pairwise
+disjoint.  Every root is residual-checked, and rows that fail are solved
+again by companion-matrix eigenvalues.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ def green_arch(f: MonicPoly, z: complex, tol: float = 1e-12) -> float:
 
     Iterates until the orbit provably escapes (|z| beyond max(R, 2M)), then
     continues until the correction terms are negligible; returns 0 when the
-    orbit stays inside the R-ball for the depth implied by tol.
+    orbit is inside max(R, 2M) at the depth implied by tol (green_arch_many).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -67,7 +76,18 @@ def green_arch(f: MonicPoly, z: complex, tol: float = 1e-12) -> float:
 
 
 def green_arch_many(f: MonicPoly, zs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized green_arch over an array of complex points."""
+    """Vectorized green_arch over an array of complex points.
+
+    Let T = max(R, 2M), M = max(1, max |a_i|), be the escape threshold.
+    As T >= 2M >= 2, |f(z)| <= 2 max(|z|, T)^d, so L_n = log max(|z_n|, T)
+    has L_{n+1} <= d L_n + log 2, and sup G <= log T + log 2 / (d - 1) on
+    the disc |w| <= T; a point with |f^n(z)| <= T has G(z) <= d^-n times
+    that.  Each orbit is iterated until it passes |z| = 10^(250/d), where
+    d^-n log|z_n| is its value, or until the first n >= n_tol that finds it
+    inside T, where it is bounded (G = 0); n_tol is one step past the depth
+    that puts the bound below tol.  Only the points still active are
+    iterated.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = f.d
@@ -76,35 +96,27 @@ def green_arch_many(f: MonicPoly, zs: np.ndarray, tol: float = 1e-12) -> np.ndar
         with np.errstate(divide="ignore"):
             return np.where(a > 1.0, np.log(np.maximum(a, 1.0)), 0.0)
     R, M, T = _arch_params(f)
-    # Bounded orbits satisfy G <= d^-n log(2R); iterate deep enough for tol.
-    n_tol = int(math.ceil((math.log(max(math.log(2 * R), 2.0)) + math.log(1.0 / tol)) / math.log(d))) + 1
-    n_max = max(n_tol, int(math.ceil(200 * math.log(d))))
+    bound = math.log(T) + math.log(2.0) / (d - 1)
+    n_tol = int(math.ceil((math.log(bound) + math.log(1.0 / tol)) / math.log(d))) + 1
     z_cap = 10.0 ** (250.0 / d)
     coeffs = f.float_coeffs()
 
-    z = np.asarray(zs, dtype=complex).copy()
-    out = np.zeros(z.shape, dtype=float)
-    active = np.ones(z.shape, dtype=bool)
-    n = 0
-    while np.any(active) and n < n_max + 60:
-        z[active] = np.polyval(coeffs, z[active])
-        n += 1
+    zs = np.asarray(zs, dtype=complex)
+    out = np.zeros(zs.size, dtype=float)
+    idx = np.arange(zs.size)  # the active points, compacted
+    z = zs.ravel()
+    for n in range(1, n_tol + 61):
+        z = _horner(coeffs, z)
         absz = np.abs(z)
-        done = active & (absz > z_cap)
-        if np.any(done):
-            out[done] = np.log(absz[done]) * (d ** (-float(n)))
-            active &= ~done
-            z[done] = 0.0
-        if n >= n_max:
-            # Past the tolerance depth: anything still inside the escape
-            # threshold is bounded (G = 0); the rest finish escaping above.
-            bounded = active & (np.abs(z) <= T)
-            active &= ~bounded
+        done = absz > z_cap
+        out[idx[done]] = np.log(absz[done]) * (d ** (-float(n)))
+        keep = ~done & (absz > T) if n >= n_tol else ~done
+        idx, z = idx[keep], z[keep]
+        if not idx.size:
+            break
     # Stragglers that crossed T but not z_cap get the current estimate.
-    if np.any(active):
-        absz = np.abs(z[active])
-        out[active] = np.log(np.maximum(absz, 1.0)) * (d ** (-float(n)))
-    return out
+    out[idx] = np.log(np.maximum(np.abs(z), 1.0)) * (d ** (-float(n)))
+    return out.reshape(zs.shape)
 
 
 @dataclass(frozen=True)
@@ -239,6 +251,68 @@ def _newton(coeffs: np.ndarray, w: np.ndarray, t: np.ndarray) -> Tuple[np.ndarra
     return w, aF
 
 
+def _aberth(pc: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The d roots of p(y) = pc(y) + r per row, by the Aberth-Ehrlich
+    iteration; shape (len(r), d).  pc is a monic polynomial with zero
+    constant term, as descending coefficients, and r one constant per row.
+
+    The start is the d-th roots of -r, rotated by a fixed angle (a circle of
+    radius 1 where r = 0).  A row leaves the working arrays once every step
+    is below 1e-14 |y|; one that has not converged after 60 steps is
+    returned as it stands, for the caller's checks to judge.
+    """
+    d = len(pc) - 1
+    dpc = np.polyder(pc)
+    rho = np.abs(r) ** (1.0 / d)
+    angle = (np.angle(-r)[:, None] + 2.0 * np.pi * np.arange(d)) / d + 0.4
+    y = np.where(rho > 0, rho, 1.0)[:, None] * np.exp(1j * angle)
+    out = y
+    idx = np.arange(r.shape[0])  # the rows still iterating, compacted
+    rr = r[:, None]
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            newton = (_horner(pc, y) + rr) / _horner(dpc, y)
+            S = np.zeros_like(y)  # sum over j != i of 1 / (y_i - y_j)
+            for j in range(d):
+                inv = 1.0 / (y - y[:, j, None])
+                inv[:, j] = 0.0
+                S += inv
+            step = newton / (1.0 - newton * S)
+            y = y - step
+            done = np.all(np.abs(step) <= 1e-14 * np.abs(y), axis=1)
+            out[idx[done]] = y[done]
+            keep = ~done
+            idx, y, rr = idx[keep], y[keep], rr[keep]
+            if not idx.size:
+                break
+    out[idx] = y
+    return out
+
+
+def _isolated(pc: np.ndarray, r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row, whether the Weierstrass discs
+    D(y_i, d |p(y_i) / prod_{j != i} (y_i - y_j)|) of p = pc + r, as in
+    _aberth, are pairwise disjoint.  The discs' union holds every root of p,
+    and each of its connected components as many roots as it has discs, so
+    disjoint discs hold one root each: no root of the row is duplicated or
+    lost.
+    """
+    d = y.shape[1]
+    prod = np.ones_like(y)
+    for j in range(d):
+        diff = y - y[:, j, None]
+        diff[:, j] = 1.0
+        prod *= diff
+    with np.errstate(all="ignore"):
+        rad = d * np.abs(_horner(pc, y) + r[:, None]) / np.abs(prod)
+    ok = np.ones(y.shape[0], dtype=bool)
+    for j in range(d):
+        apart = np.abs(y - y[:, j, None]) > rad + rad[:, j, None]
+        apart[:, j] = True
+        ok &= apart.all(axis=1)
+    return ok
+
+
 def _companion_roots(f: MonicPoly, t: np.ndarray) -> np.ndarray:
     """All d solutions of f(w) = t per target, as eigenvalues of companion matrices."""
     d = f.d
@@ -265,13 +339,17 @@ def _preimages_batch(f: MonicPoly, targets: np.ndarray) -> np.ndarray:
 
     Solver by degree: the quadratic formula at d = 2; Cardano (d = 3) and
     Ferrari (d = 4) on the depressed polynomial, each polished by 2 Newton
-    steps; eigenvalues of companion matrices (``np.linalg.eigvals``) at
-    d >= 5.  Every root w of every row is checked for
-    |f(w) - t| <= 1e-6 (1 + |t| + |w|^d).  The closed forms are not backward
-    stable: with coefficients of very different sizes, as in
-    z^3 + 10^6 z^2 + 1/3, they lose the small roots, so rows that fail the
-    check at d <= 4 are solved again by eigenvalues.  Raises
-    RootFindingError for a non-finite target and when a row still fails.
+    steps; the Aberth-Ehrlich iteration on the depressed polynomial at
+    d >= 5 (_aberth).  Every root w of every row is checked for
+    |f(w) - t| <= 1e-6 (1 + |t| + |w|^d), and at d >= 5 a row is kept only
+    when its Weierstrass inclusion discs are pairwise disjoint (_isolated),
+    which catches a duplicated or lost root that the residual cannot see.
+    The first solvers are not backward stable: with coefficients of very
+    different sizes, as in z^3 + 10^6 z^2 + 1/3, they lose the small roots,
+    and at a double root the Aberth discs overlap, so rows that fail a check
+    are solved again by eigenvalues of companion matrices
+    (``np.linalg.eigvals``).  Raises RootFindingError for a non-finite
+    target and when a row still fails.
     """
     d = f.d
     t = np.asarray(targets, dtype=complex)
@@ -284,18 +362,22 @@ def _preimages_batch(f: MonicPoly, targets: np.ndarray) -> np.ndarray:
         c = complex(f.coeffs[0])
         disc = np.sqrt(b * b - 4.0 * (c - t))
         roots = np.stack([(-b + disc) / 2.0, (-b - disc) / 2.0], axis=-1)
-    elif d <= 4:
+    else:
         s, c = _depressed(f)
         r = float(c[0]) - t
-        y = _cardano(float(c[1]), r) if d == 3 else _ferrari(c[2], c[1], r)
-        roots, resid = _newton(coeffs, y + float(s), t[:, None])
-    else:
-        roots = _companion_roots(f, t)
-    ok = _within_tolerance(coeffs, roots, t, resid)
-    if d <= 4 and not ok.all():
-        redo = ~ok.all(axis=1)
-        roots[redo] = _companion_roots(f, t[redo])
-        ok = _within_tolerance(coeffs, roots, t)
+        if d <= 4:
+            y = _cardano(float(c[1]), r) if d == 3 else _ferrari(c[2], c[1], r)
+            roots, resid = _newton(coeffs, y + float(s), t[:, None])
+        else:
+            pc = np.array([float(x) for x in reversed(c[1:])] + [0.0])  # f(y + s) - c_0
+            y = _aberth(pc, r)
+            roots = y + float(s)
+    ok = _within_tolerance(coeffs, roots, t, resid).all(axis=1)
+    if d >= 5:
+        ok &= _isolated(pc, r, y)
+    if not ok.all():
+        roots[~ok] = _companion_roots(f, t[~ok])
+        ok = _within_tolerance(coeffs, roots, t).all(axis=1)
     if not ok.all():
         raise RootFindingError("inverse-iteration root solve failed residual check")
     return roots
@@ -311,8 +393,10 @@ def equilibrium_sample(f: MonicPoly, N: int, rng, expand_levels: int = 0) -> Equ
     makes low-order empirical moments exact.  Each generation solves
     f(w) = t for every chain at once: by the quadratic formula at d = 2,
     Cardano's formula at d = 3 and Ferrari's at d = 4 (both polished by 2
-    Newton steps), and companion-matrix eigenvalues at d >= 5 and for the
-    rows whose closed-form roots miss the residual check.
+    Newton steps), and the Aberth-Ehrlich iteration at d >= 5, whose rows
+    must also have pairwise disjoint Weierstrass inclusion discs; rows that
+    miss the residual or disc check are solved again by companion-matrix
+    eigenvalues.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

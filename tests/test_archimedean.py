@@ -102,6 +102,75 @@ def test_holder_inequality(rng):
         assert np.all(np.abs(g1 - g2) <= bound + 1e-7)
 
 
+def _deep_green(f: MonicPoly, zs: np.ndarray, steps: int) -> np.ndarray:
+    """G_f by plain iteration: d^-n log|z_n| at the first n with
+    |z_n| > 10^(250/d), and 0 for a point still below that after all the
+    given steps (green_arch_many iterated bounded orbits for
+    ceil(200 log d) + 60 steps before it stopped at its tolerance depth)."""
+    d, cap = f.d, 10.0 ** (250.0 / f.d)
+    z = np.array(zs, dtype=complex)
+    out = np.zeros(z.shape)
+    active = np.ones(z.shape, dtype=bool)
+    for n in range(1, steps + 1):
+        z[active] = np.polyval(f.float_coeffs(), z[active])
+        done = active & (np.abs(z) > cap)
+        out[done] = np.log(np.abs(z[done])) * float(d) ** -n
+        active &= ~done
+        z[~active] = 0.0
+    return out
+
+
+def _in_disc(rng, radius: float, n: int) -> np.ndarray:
+    return radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def _pullback(f: MonicPoly, w: np.ndarray, levels: int) -> np.ndarray:
+    """w and one solution of f^k(z) = w for each k <= levels: G(z) = d^-k G(w),
+    and the orbit of z stays inside |w| for k steps."""
+    pts = [np.asarray(w, dtype=complex)]
+    for _ in range(levels):
+        pts.append(_preimages_batch(f, pts[-1])[:, 0])
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_green_many_matches_deep_iteration(rng, tol):
+    """Stopping at the tolerance depth n_tol loses at most tol: on the disc
+    |z| <= T = max(R, 2M), where G reaches about log T (z^2 + 100 has R = 10
+    and T = 200), on points whose orbits stay just inside T for k steps,
+    where G is largest for a given depth, on preimage-tree points, which lie
+    near the Julia set, and on slow escapers, whose orbits leave |z| <= T
+    long after n_tol."""
+    cases = [(MonicPoly.from_text("z^2+100"), _in_disc(rng, 200.0, 400))]
+    for d in range(2, 7):
+        for X in (2, 50):
+            f = sample(d, X, rng)
+            T = archimedean._arch_params(f)[2]
+            edge = 0.999 * T * np.exp(2j * np.pi * rng.random(4))
+            cases.append((f, np.concatenate([_in_disc(rng, T, 400), _pullback(f, edge, 50)])))
+    f, g = MonicPoly.from_text("z^3-(1/2)z+1"), MonicPoly.from_text("z^2-z-(3/4)")
+    tree = np.array([archimedean._arch_params(f)[0] + 1.0], dtype=complex)
+    for _ in range(5):
+        tree = _preimages_batch(f, tree).reshape(-1)
+    cases += [(f, tree), (g, tree)]
+    for eps in (1e-2, 1e-3, 1e-4):  # 0 escapes after about pi / sqrt(eps) steps
+        c = MonicPoly.make(2, {0: F(1, 4) + F(eps).limit_denominator(10**6)})
+        cases.append((c, np.array([0, 0.1, 0.5j, -0.5, 0.49], dtype=complex)))
+    for f, zs in cases:
+        got = green_arch_many(f, zs, tol)
+        assert got.shape == zs.shape and np.all(got >= 0)
+        assert np.max(np.abs(got - _deep_green(f, zs, 1000))) <= tol
+
+
+def test_green_many_power_map_matches_deep_iteration(rng):
+    for d in (2, 3, 5):
+        f = MonicPoly.make(d)
+        zs = np.concatenate([_in_disc(rng, 3.0, 200), np.exp(2j * np.pi * rng.random(20))])
+        got = green_arch_many(f, zs.reshape(11, 20))
+        assert got.shape == (11, 20)
+        assert np.max(np.abs(got.ravel() - _deep_green(f, zs, 1000))) <= 1e-12
+
+
 def test_equilibrium_sample_unit_circle(rng):
     N = 4000
     s = equilibrium_sample(Z2, N, rng)
@@ -283,12 +352,18 @@ def _multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 _small_coeff = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
-_solver_cases = st.integers(3, 4).flatmap(
-    lambda d: st.tuples(
-        st.lists(_small_coeff, min_size=d, max_size=d).map(lambda cs: MonicPoly(tuple(cs))),
-        st.lists(st.complex_numbers(max_magnitude=40, allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+
+
+def _solver_cases_of_degree(lo: int, hi: int):
+    return st.integers(lo, hi).flatmap(
+        lambda d: st.tuples(
+            st.lists(_small_coeff, min_size=d, max_size=d).map(lambda cs: MonicPoly(tuple(cs))),
+            st.lists(st.complex_numbers(max_magnitude=40, allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+        )
     )
-)
+
+
+_solver_cases = _solver_cases_of_degree(3, 4)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -362,6 +437,72 @@ def test_preimages_at_critical_values(text):
     assert np.max(_relative_residual(f, roots, t)) <= 2e-15
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_solver_cases_of_degree(5, 7))
+def test_preimages_aberth_matches_companion_eigvals(case):
+    """The Aberth solve at d >= 5, eigvals patched to fail, with the
+    tolerances of the d = 3, 4 property but for the residual: the roots are
+    not polished in f's own coordinates, and those of the depressed
+    polynomial, whose coefficients the Taylor shift can make 100 times
+    larger than f's, reach relative residuals of about 2e-12 (eigvals
+    itself reaches 4e-14 on the same rows)."""
+    f, targets = case
+    t = np.array(targets, dtype=complex)
+    ref = _companion_roots(f, t)
+    scale = 1.0 + np.max(np.abs(ref))
+    gaps = np.abs(ref[:, :, None] - ref[:, None, :]) + np.eye(f.d) * scale
+    assume(np.min(gaps) >= 1e-3 * scale)
+    with _closed_forms_only():
+        roots = _preimages_batch(f, t)
+    assert _multiset_distance(roots, ref) <= 1e-9 * scale
+    assert np.allclose(roots.sum(axis=1), -float(f.coeffs[-1]), rtol=0, atol=1e-10 * scale)
+    assert np.max(_relative_residual(f, roots, t)) <= 1e-10
+
+
+@pytest.mark.parametrize("text", ["z^5-5z^3+4z", "z^6-3z^2+1", "z^7-z", "z^5-(5/7)z^3-(4/3)z^2+10z+(9/4)"])
+def test_preimages_at_critical_values_past_closed_forms(text):
+    """At d >= 5 a critical-value target gives a double root, where the
+    Aberth steps converge only linearly and the two Weierstrass discs
+    overlap unless rounding has split the root; such rows (z^6 - 3z^2 + 1
+    at f(0) = 1) are solved again by eigvals."""
+    f = MonicPoly.from_text(text)
+    t = f(np.roots(np.polyder(f.float_coeffs())))
+    roots = _preimages_batch(f, t)
+    assert _multiset_distance(roots, _companion_roots(f, t)) <= 1e-6
+    assert np.allclose(roots.sum(axis=1), -float(f.coeffs[-1]), rtol=0, atol=1e-6)
+    assert np.max(_relative_residual(f, roots, t)) <= 1e-10
+
+
+def test_preimages_disc_check_catches_a_duplicated_root(monkeypatch):
+    """A row of Aberth roots that repeats one root, and so loses another,
+    passes the residual check; the repeated root's Weierstrass discs are
+    unbounded, so the row is solved again by eigenvalues."""
+    f = MonicPoly.from_text("z^5-(5/7)z^3-(4/3)z^2+10z+(9/4)")
+    t = np.linspace(-1, 1, 7).astype(complex)
+    aberth, companion = archimedean._aberth, archimedean._companion_roots
+
+    def duplicating(*args):
+        y = aberth(*args).copy()
+        y[3, 1] = y[3, 0]
+        return y
+
+    redone = []
+
+    def counting(f, t):
+        redone.append(t.copy())
+        return companion(f, t)
+
+    s, c = archimedean._depressed(f)
+    pc = np.array([float(x) for x in reversed(c[1:])] + [0.0])
+    mutant = duplicating(pc, float(c[0]) - t) + float(s)
+    assert archimedean._within_tolerance(f.float_coeffs(), mutant, t).all()
+    monkeypatch.setattr(archimedean, "_aberth", duplicating)
+    monkeypatch.setattr(archimedean, "_companion_roots", counting)
+    roots = _preimages_batch(f, t)
+    assert len(redone) == 1 and np.array_equal(redone[0], t[3:4])
+    assert _multiset_distance(roots, _companion_roots(f, t)) <= 1e-12 * (1 + np.max(np.abs(roots)))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0), complex(-np.inf, 1)])
 def test_preimages_reject_non_finite_targets(d, bad):
@@ -372,7 +513,9 @@ def test_preimages_reject_non_finite_targets(d, bad):
         _preimages_batch(f, t)
 
 
-@pytest.mark.parametrize("text", ["z^2+1000000z+(1/3)", "z^3+1000000z^2+(1/3)", "z^4+100000z^3+(1/3)"])
+@pytest.mark.parametrize(
+    "text", ["z^2+1000000z+(1/3)", "z^3+1000000z^2+(1/3)", "z^4+100000z^3+(1/3)", "z^5+1000000z^4+(1/3)"]
+)
 def test_preimages_badly_scaled_rows_fall_back_to_eigvals(text, rng):
     """Coefficients of very different sizes: the closed forms lose the small
     roots, and the rows that miss the residual check are solved again."""
@@ -384,10 +527,10 @@ def test_preimages_badly_scaled_rows_fall_back_to_eigvals(text, rng):
     assert equilibrium_sample(f, 500, rng).points.shape == (500,)
 
 
-@pytest.mark.parametrize("d,closed_form", [(3, "_cardano"), (4, "_ferrari"), (5, None)])
-def test_preimages_residual_check_covers_every_row(monkeypatch, d, closed_form):
+@pytest.mark.parametrize("d,solver", [(3, "_cardano"), (4, "_ferrari"), (5, "_aberth")])
+def test_preimages_residual_check_covers_every_row(monkeypatch, d, solver):
     """A wrong root in the last row, which a strided spot check would skip, is
-    caught; at d = 3, 4 the row is solved again by eigenvalues, wrong again."""
+    caught; the row is solved again by eigenvalues, wrong again."""
 
     def corrupt(module, name):
         solve = getattr(module, name)
@@ -400,8 +543,7 @@ def test_preimages_residual_check_covers_every_row(monkeypatch, d, closed_form):
         monkeypatch.setattr(module, name, corrupted)
 
     corrupt(np.linalg, "eigvals")
-    if closed_form:
-        corrupt(archimedean, closed_form)
+    corrupt(archimedean, solver)
     f = MonicPoly.make(d, {0: F(1, 3), 1: F(-1)})
     with pytest.raises(RootFindingError):
         _preimages_batch(f, np.linspace(-1, 1, 63).astype(complex))
