@@ -124,51 +124,51 @@ class StrataMeasure:
         )
 
 
-def strata(f: MonicPoly, v: PlaceQ) -> StrataMeasure:
-    """Exact strata decomposition at a one-large-coefficient place.
-
-    For 1 <= j <= d-1 (and |a_0|_v = 1) the filled Julia set meets exactly the
-    radii r1 = |a_j|^{1/(d-j)}, r2 = |a_j|^{(1/j)(1/(d-j)-1)}, r3 = |a_j|^{-1/j}
-    with masses ((d-j)/d, j(d-j)/d^2, j^2/d^2).  The j = 0 shape (only the
-    constant coefficient large) is routed to the single-radius rule
-    |zeta| = |a_0|^{1/d}.
+def _one_large(f: MonicPoly, p: int) -> Optional[Tuple[int, int, Tuple[Fraction, ...]]]:
+    """The one-large-coefficient shape of f at p, read off the place table:
+    None if no coefficient is large, (j, m, log-radii) for one large a_j with
+    |a_j|_p = p^m and j = 0 or |a_0|_p = 1, else StrataHypothesisError.  The
+    radii are m/d (three times) for j = 0, else m/(d-j), (m/j)(1/(d-j) - 1), -m/j.
     """
-    if v.is_arch:
-        raise ValueError("strata are defined at finite places")
-    p = v.p
-    d = f.d
     large = f._large(p)
     if not large:
-        raise StrataHypothesisError(f"explicit good reduction at p={p}: no large coefficient")
+        return None
     if len(large) > 1:
         idx = ", ".join(f"a{i}" for i, _ in large)
         raise StrataHypothesisError(f"more than one large coefficient at p={p}: {idx}")
-    j, m_int = large[0]
-    m = Fraction(m_int)
+    (j, m), d = large[0], f.d
     if j == 0:
-        r = m / d
-        return StrataMeasure(
-            v, d, 0, m,
-            (r, r, r),
-            (Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(0)),
-        )
-    a0 = f.coeffs[0]
-    if a0 == 0 or ord_p(a0, p) != 0:
+        return 0, m, (Fraction(m, d),) * 3
+    a0 = f.coeffs[0]  # not large, so |a_0|_p = 1 unless p divides its numerator
+    if a0 == 0 or a0.numerator % p == 0:
         raise StrataHypothesisError(
             f"|a_0|_{p} != 1 (got {'0' if a0 == 0 else 'p^' + str(-ord_p(a0, p))}); "
             "strata hypothesis requires |a_0|_v = 1 when j >= 1"
         )
-    r1 = m / (d - j)
-    r2 = m * (Fraction(1, d - j) - 1) / j
-    r3 = -m / j
+    return j, m, (Fraction(m, d - j), Fraction(m * (j + 1 - d), j * (d - j)), Fraction(-m, j))
+
+
+def strata(f: MonicPoly, v: PlaceQ) -> StrataMeasure:
+    """Exact strata decomposition at a one-large-coefficient place: the filled
+    Julia set meets exactly the radii of `_one_large`, with masses
+    ((d-j)/d, j(d-j)/d^2, j^2/d^2) for 1 <= j <= d-1; for j = 0 the single
+    radius |a_0|^{1/d} carries full mass and zero energy."""
+    if v.is_arch:
+        raise ValueError("strata are defined at finite places")
+    shape = _one_large(f, v.p)
+    if shape is None:
+        raise StrataHypothesisError(f"explicit good reduction at p={v.p}: no large coefficient")
+    (j, m, radii), d = shape, f.d
+    if j == 0:
+        one, zero = Fraction(1), Fraction(0)
+        return StrataMeasure(v, d, 0, Fraction(m), radii, (one, zero, zero), (zero, zero, zero))
     a1 = Fraction(d - j, d)
     a2 = Fraction(j * (d - j), d * d)
     a3 = Fraction(j * j, d * d)
     i1 = -m * Fraction(j, (d - j) ** 2)
     i2 = -m * (Fraction(1, j) + Fraction(1, (d - j) ** 2))
     i3 = -m * (Fraction(1, j) + Fraction(1, j * j))
-    return StrataMeasure(v, d, j, m, (r1, r2, r3), (a1, a2, a3), (i1, i2, i3))
+    return StrataMeasure(v, d, j, Fraction(m), radii, (a1, a2, a3), (i1, i2, i3))
 
 
 def strata_pullback_simulate(d: int, j: int) -> Tuple[Fraction, Fraction, Fraction]:
@@ -307,17 +307,16 @@ def julia_shells(f: MonicPoly, v: PlaceQ):
 
     Returns ("ball", None) for explicit good reduction (radii within [0, 1]),
     ("shells", {exponents}) when the one-large-coefficient shape pins |zeta|_v
-    to finitely many values p^t (the log-radii of `strata`), and
-    ("unknown", None) where `strata` does not apply.
+    to finitely many values p^t (the log-radii of `strata`, without its
+    measure), and ("unknown", None) where `strata` does not apply.
     """
     if v.is_arch:
         raise ValueError("julia_shells is for finite places")
-    if not f._large(v.p):
-        return "ball", None
     try:
-        return "shells", frozenset(strata(f, v).log_radii)
+        shape = _one_large(f, v.p)
     except StrataHypothesisError:
         return "unknown", None
+    return ("ball", None) if shape is None else ("shells", frozenset(shape[2]))
 
 
 def shells_certify_disjoint(sf, sg) -> bool:

@@ -14,6 +14,8 @@ common factor found by the screen is lifted and checked exactly when it is
 one rational point, and otherwise computed over Z and factored with sympy,
 imported only then.  Every root of f^m - f^n is preperiodic, so no tolerance
 and no height check is involved.
+`suspected_equal` is true exactly when f o g = g o f, i.e. the maps have the
+same preperiodic points; it is independent of the caps.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class PrepCertificate:
     m_cap: int
     n_cap: int
     matched_clusters: int = 0  # shared points found: the sum of the min_poly degrees
-    suspected_equal: bool = False
+    suspected_equal: bool = False  # f o g = g o f: the same preperiodic points, at any caps
 
     def to_json(self) -> dict:
         return {
@@ -111,24 +113,33 @@ def _mul(a: List[int], b: List[int]) -> List[int]:
     return out
 
 
+def _form(f: MonicPoly) -> Tuple[List[int], int]:
+    """f = F / den in lowest terms, F ascending integer coefficients."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    return [int(c * den) for c in f.coeffs] + [den], den
+
+
+def _compose(a: Tuple[List[int], int], b: Tuple[List[int], int]) -> Tuple[List[int], int]:
+    """a o b in the form (P, E) = P / E, P ascending integer coefficients and
+    E > 0, in lowest terms so that equal polynomials have equal forms."""
+    (A, D), (P, E) = a, b
+    # Horner in P / E, cleared of denominators: sum A_i P^i E^(deg A - i).
+    acc, e_pow = [A[-1]], 1
+    for c in reversed(A[:-1]):
+        e_pow *= E
+        acc = _mul(acc, P)
+        acc[0] += c * e_pow
+    k = gcd(D * e_pow, *acc)
+    return [c // k for c in acc], D * e_pow // k
+
+
 def _iterates(f: MonicPoly, m_cap: int) -> List[Tuple[List[int], int]]:
-    """The iterates f^0, ..., f^m_cap exactly: f^k = P / E as (P, E) with P
-    ascending integer coefficients and E a positive integer."""
+    """The iterates f^0, ..., f^m_cap exactly, each in the form of `_compose`."""
     if f.d**m_cap > _DEGREE_BUDGET:
         raise CapExceeded(f"degree {f.d ** m_cap} exceeds budget {_DEGREE_BUDGET}")
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    F = [int(c * den) for c in f.coeffs] + [den]  # f = F / den
-    out = [([0, 1], 1)]
+    F, out = _form(f), [([0, 1], 1)]
     for _ in range(m_cap):
-        P, E = out[-1]
-        # Horner in P / E, cleared of denominators: sum F_i P^i E^(d-i).
-        acc, e_pow = [F[-1]], 1
-        for c in reversed(F[:-1]):
-            e_pow *= E
-            acc = _mul(acc, P)
-            acc[0] += c * e_pow
-        k = gcd(den * e_pow, *acc)
-        out.append(([c // k for c in acc], den * e_pow // k))
+        out.append(_compose(F, out[-1]))
     return out
 
 
@@ -397,6 +408,13 @@ def prep_intersect(
     certified points are exactly 0 and no tolerance is involved.  An iterate
     beyond the degree budget reports "inconclusive" rather than silently
     truncating.
+
+    `suspected_equal` (False on "disjoint" or if not `check_suspected_equal`)
+    is true exactly when f o g = g o f, i.e. the maps have the same
+    preperiodic points; it is independent of the caps.  Commuting maps have
+    one Julia set (Julia, Fatou); equal preperiodic points give equal Julia
+    sets (Baker-DeMarco, Duke 2011), so f o g = s o g o f with s a symmetry of
+    J (Beardon 1992), a translation for monic maps and so the identity.
     """
     if f == g:
         raise ValueError("prep_intersect requires f != g")
@@ -406,38 +424,19 @@ def prep_intersect(
         w = disjoint_certificate(f, g)
         if w is not None:
             return PrepCertificate("disjoint", w.p, (), m_cap, n_cap)
+    F, G = _form(f), _form(g)
+    suspected = check_suspected_equal and _compose(F, G) == _compose(G, F)
     try:
         pair = (_differences(f, m_cap, n_cap), _differences(g, m_cap, n_cap))
     except CapExceeded:
-        return PrepCertificate("inconclusive", None, (), m_cap, n_cap)
+        return PrepCertificate("inconclusive", None, (), m_cap, n_cap, suspected_equal=suspected)
     (min_polys,) = _shared_min_polys([pair])
-    count = sum(len(mp) - 1 for mp in min_polys)
-    suspected = (
-        check_suspected_equal
-        and count > 4 * min(f.d, g.d)
-        and _suspect_equal(f, g, m_cap, n_cap, count)
-    )
     return PrepCertificate(
         "intersection",
         None,
         tuple(CertifiedPoint(mp, 0.0, 0.0) for mp in min_polys),
         m_cap,
         n_cap,
-        matched_clusters=count,
+        matched_clusters=sum(len(mp) - 1 for mp in min_polys),
         suspected_equal=suspected,
     )
-
-
-def _suspect_equal(f, g, m_cap, n_cap, base_count) -> bool:
-    """Heuristic: shared-point counts keep exceeding 4d as caps increase."""
-    threshold = 4 * min(f.d, g.d)
-    counts = [base_count]
-    for bump in (1, 2):
-        try:
-            m, n = m_cap + bump, n_cap + bump
-            pair = (_differences(f, m, n), _differences(g, m, n))
-        except CapExceeded:
-            break
-        (mps,) = _shared_min_polys([pair])
-        counts.append(sum(len(mp) - 1 for mp in mps))
-    return len(counts) >= 3 and all(c > threshold for c in counts)

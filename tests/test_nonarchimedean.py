@@ -239,4 +239,10 @@ def test_julia_shells_and_certificates():
     assert not shells_certify_disjoint(julia_shells(const, v), julia_shells(const, v))
     # one-large-j shape has radii inside the unit ball: no certificate vs good
     mid = MonicPoly.make(3, {1: F(1, 2), 0: F(1)})
+    assert julia_shells(mid, v) == ("shells", frozenset({F(1, 2), F(-1, 2), F(-1)}))
     assert not shells_certify_disjoint(julia_shells(good, v), julia_shells(mid, v))
+    # j = 0 at d = 3: the single radius |a_0|^(1/3)
+    assert julia_shells(MonicPoly.make(3, {0: F(1, 4)}), v) == ("shells", frozenset({F(2, 3)}))
+    # two large coefficients; j >= 1 with a_0 = 0; j >= 1 with p | a_0
+    for shape in ({2: F(1, 2), 0: F(1, 2)}, {1: F(1, 2)}, {1: F(1, 2), 0: F(2)}):
+        assert julia_shells(MonicPoly.make(3, shape), v) == ("unknown", None)

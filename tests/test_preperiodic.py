@@ -13,6 +13,7 @@ from arithdyn import (
     disjoint_certificate,
     is_rational_preperiodic,
     prep_intersect,
+    preperiodic,
     preperiodic_complex,
     rational_prep,
     sample,
@@ -89,6 +90,42 @@ def test_prep_intersect_same_julia_flag():
     cert = prep_intersect(Z2, MonicPoly.make(4), m_cap=3, n_cap=2)
     assert cert.suspected_equal
     assert cert.matched_clusters > 8
+
+
+@pytest.mark.parametrize(
+    "f, g, verdict, flag",
+    [
+        # commuting pairs: power maps, Chebyshev maps, f and f o f
+        ("z^2", "z^3", "intersection", True),
+        ("z^2", "z^6", "intersection", True),
+        ("z^2-2", "z^3-3z", "intersection", True),
+        ("z^2-2", "z^6-6z^4+9z^2-2", "intersection", True),
+        ("z^3+3z", "z^5+5z^3+5z", "intersection", True),  # both J = i[-2, 2]
+        ("z^2+1", "z^4+2z^2+2", "intersection", True),
+        # sharing points but not Julia sets
+        ("z^2", "z^2-2", "intersection", False),
+        ("z^2-z", "z^2-1", "intersection", False),
+        ("z^2+1/4", "z^2-3/4", "intersection", False),
+        # 36^3 exceeds the degree budget; the flag does not depend on the caps
+        ("z^6", "z^36", "inconclusive", True),
+    ],
+)
+def test_suspected_equal_iff_commuting(f, g, verdict, flag):
+    cert = prep_intersect(MonicPoly.from_text(f), MonicPoly.from_text(g))
+    assert (cert.verdict, cert.suspected_equal) == (verdict, flag)
+
+
+def test_suspected_equal_iterates_only_to_the_caps(monkeypatch):
+    caps = []
+    iterates = preperiodic._iterates
+
+    def spy(f, m_cap):
+        caps.append(m_cap)
+        return iterates(f, m_cap)
+
+    monkeypatch.setattr(preperiodic, "_iterates", spy)
+    assert prep_intersect(Z2, MonicPoly.make(4)).suspected_equal
+    assert caps and max(caps) <= 3
 
 
 @pytest.mark.parametrize(
@@ -184,11 +221,34 @@ def test_prep_intersect_monotone_in_caps(pair):
 
 
 
+def _then(f, g):
+    """f o g as a MonicPoly."""
+    acc, G = [F(1)], list(g.coeffs) + [F(1)]
+    for c in reversed(f.coeffs):
+        acc = _times(acc, G)
+        acc[0] += c
+    return MonicPoly(tuple(acc[:-1]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_poly, _poly)
+def test_suspected_equal_symmetric_and_exact(f, g):
+    def flag(a, b):
+        return prep_intersect(a, b, m_cap=1, n_cap=0).suspected_equal
+
+    assert flag(f, _then(f, f)) and flag(_then(f, f), f)
+    if f != g:
+        assert flag(f, g) == flag(g, f)
+        if f.d == g.d:
+            assert not flag(f, g)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.lists(_coeff, min_size=1, max_size=2), _coeff, _coeff)
 def test_prep_intersect_finds_shared_fixed_points(q, s, t):
     assume(s != t)
     f, g = _fixing(q + [1], [s, 1]), _fixing(q + [1], [t, 1])
+    assert disjoint_certificate(f, g) is None
     z = sympy.Symbol("z")
     found = sympy.Poly(1, z, domain="QQ")
     for mp in _min_polys(f, g, 3, 2):
