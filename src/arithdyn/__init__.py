@@ -80,7 +80,6 @@ from .preperiodic import (
     disjoint_certificate,
     is_rational_preperiodic,
     prep_intersect,
-    preperiodic_complex,
     rational_prep,
 )
 from .survey import (

@@ -6,9 +6,9 @@ Green's function evaluation is escape-based: once an orbit leaves the ball
 that provably contains the filled Julia set, |f(z)| tracks |z|^d up to a
 geometrically shrinking correction, so iterating a few more steps and reading
 off d^-n log|z_n| gives the value to relative accuracy far below any
-requested tolerance.  An orbit still inside the escape threshold after n
-steps has G at most d^-n times the supremum of G on the threshold disc, so
-once that product is below the tolerance the point counts as bounded.
+requested tolerance.  An orbit still inside the escape radius after n steps
+has G at most d^-n times the supremum of G on that disc, so once that
+product is below the tolerance the point counts as bounded.
 
 Inverse iteration solves f(w) = t for all d roots of many targets at once:
 by the quadratic formula at d = 2, by Cardano's and Ferrari's formulas at
@@ -48,12 +48,16 @@ class RootFindingError(RuntimeError):
     """All-roots solve failed residual checks at some inverse-iteration step."""
 
 
-def _arch_params(f: MonicPoly) -> Tuple[float, float, float]:
-    """(R, M, escape threshold) at the archimedean place, as floats."""
-    prof = local_profile(f, PlaceQ.arch())
-    R = math.exp(float(prof.R))
-    M = max(1.0, max((abs(float(c)) for c in f.coeffs), default=1.0))
-    return R, M, max(R, 2.0 * M)
+def _arch_params(f: MonicPoly) -> float:
+    """The profile's R = 3 r, r = max(1, |a_i|^(1/(d-i))), as a float: the
+    escape radius at the archimedean place.
+
+    As |a_i| <= r^(d-i), with rho = max(|z|, R) >= 3 r,
+    |f(z) - z^d| <= sum_(i<d) r^(d-i) rho^i < rho^d sum_(k>=1) 3^-k = rho^d / 2,
+    so |f(z)| < 1.5 rho^d, and for |z| > R, |f(z)| > |z|^d / 2 >= 1.5 |z|
+    (|z|^(d-1) > 3): every orbit leaving |z| <= R escapes.
+    """
+    return math.exp(float(local_profile(f, PlaceQ.arch()).R))
 
 
 def _is_power_map(f: MonicPoly) -> bool:
@@ -61,32 +65,21 @@ def _is_power_map(f: MonicPoly) -> bool:
 
 
 def green_arch(f: MonicPoly, z: complex, tol: float = 1e-12) -> float:
-    """Escape-rate Green's function G_{f,inf}(z) to relative accuracy tol.
-
-    Iterates until the orbit provably escapes (|z| beyond max(R, 2M)), then
-    continues until the correction terms are negligible; returns 0 when the
-    orbit is inside max(R, 2M) at the depth implied by tol (green_arch_many).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if _is_power_map(f):
-        a = abs(z)
-        return math.log(a) if a > 1 else 0.0
+    """Escape-rate Green's function G_{f,inf}(z) to accuracy tol (green_arch_many)."""
     return float(green_arch_many(f, np.array([z], dtype=complex), tol)[0])
 
 
 def green_arch_many(f: MonicPoly, zs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Vectorized green_arch over an array of complex points.
 
-    Let T = max(R, 2M), M = max(1, max |a_i|), be the escape threshold.
-    As T >= 2M >= 2, |f(z)| <= 2 max(|z|, T)^d, so L_n = log max(|z_n|, T)
-    has L_{n+1} <= d L_n + log 2, and sup G <= log T + log 2 / (d - 1) on
-    the disc |w| <= T; a point with |f^n(z)| <= T has G(z) <= d^-n times
-    that.  Each orbit is iterated until it passes |z| = 10^(250/d), where
-    d^-n log|z_n| is its value, or until the first n >= n_tol that finds it
-    inside T, where it is bounded (G = 0); n_tol is one step past the depth
-    that puts the bound below tol.  Only the points still active are
-    iterated.
+    With R the escape radius of _arch_params, |f(z)| < 1.5 max(|z|, R)^d
+    and R >= 3, so L_n = log max(|z_n|, R) has L_{n+1} <= d L_n + log 2,
+    and sup G <= log R + log 2 / (d - 1) on the disc |w| <= R; a point with
+    |f^n(z)| <= R has G(z) <= d^-n times that.  Each orbit is iterated
+    until it passes |z| = 10^(250/d), where d^-n log|z_n| is its value, or
+    until the first n >= n_tol that finds it inside R, where it is bounded
+    (G = 0); n_tol is one step past the depth that puts the bound below tol.
+    Only the points still active are iterated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -95,8 +88,8 @@ def green_arch_many(f: MonicPoly, zs: np.ndarray, tol: float = 1e-12) -> np.ndar
         a = np.abs(np.asarray(zs, dtype=complex))
         with np.errstate(divide="ignore"):
             return np.where(a > 1.0, np.log(np.maximum(a, 1.0)), 0.0)
-    R, M, T = _arch_params(f)
-    bound = math.log(T) + math.log(2.0) / (d - 1)
+    R = _arch_params(f)
+    bound = math.log(R) + math.log(2.0) / (d - 1)
     n_tol = int(math.ceil((math.log(bound) + math.log(1.0 / tol)) / math.log(d))) + 1
     z_cap = 10.0 ** (250.0 / d)
     coeffs = f.float_coeffs()
@@ -110,11 +103,11 @@ def green_arch_many(f: MonicPoly, zs: np.ndarray, tol: float = 1e-12) -> np.ndar
         absz = np.abs(z)
         done = absz > z_cap
         out[idx[done]] = np.log(absz[done]) * (d ** (-float(n)))
-        keep = ~done & (absz > T) if n >= n_tol else ~done
+        keep = ~done & (absz > R) if n >= n_tol else ~done
         idx, z = idx[keep], z[keep]
         if not idx.size:
             break
-    # Stragglers that crossed T but not z_cap get the current estimate.
+    # Stragglers that crossed R but not z_cap get the current estimate.
     out[idx] = np.log(np.maximum(np.abs(z), 1.0)) * (d ** (-float(n)))
     return out.reshape(zs.shape)
 
@@ -134,7 +127,7 @@ class HolderConstants:
 
 def holder_constants(f: MonicPoly) -> HolderConstants:
     """M = log(2R+1), A = (3d/2)(R+1)^{d-1}, alpha = log d / log A."""
-    R, _, _ = _arch_params(f)
+    R = _arch_params(f)
     d = f.d
     M = math.log(2 * R + 1)
     A = 1.5 * d * (R + 1) ** (d - 1)
@@ -337,19 +330,19 @@ def _within_tolerance(coeffs: np.ndarray, roots: np.ndarray, t: np.ndarray, resi
 def _preimages_batch(f: MonicPoly, targets: np.ndarray) -> np.ndarray:
     """All d solutions of f(w) = t for each target t; shape (len(targets), d).
 
-    Solver by degree: the quadratic formula at d = 2; Cardano (d = 3) and
-    Ferrari (d = 4) on the depressed polynomial, each polished by 2 Newton
-    steps; the Aberth-Ehrlich iteration on the depressed polynomial at
-    d >= 5 (_aberth).  Every root w of every row is checked for
-    |f(w) - t| <= 1e-6 (1 + |t| + |w|^d), and at d >= 5 a row is kept only
-    when its Weierstrass inclusion discs are pairwise disjoint (_isolated),
-    which catches a duplicated or lost root that the residual cannot see.
-    The first solvers are not backward stable: with coefficients of very
-    different sizes, as in z^3 + 10^6 z^2 + 1/3, they lose the small roots,
-    and at a double root the Aberth discs overlap, so rows that fail a check
-    are solved again by eigenvalues of companion matrices
-    (``np.linalg.eigvals``).  Raises RootFindingError for a non-finite
-    target and when a row still fails.
+    Solver by degree: the stable quadratic formula at d = 2 (_quadratic);
+    Cardano (d = 3) and Ferrari (d = 4) on the depressed polynomial, each
+    polished by 2 Newton steps; the Aberth-Ehrlich iteration on the
+    depressed polynomial at d >= 5 (_aberth).  Every root w of every row is
+    checked for |f(w) - t| <= 1e-6 (1 + |t| + |w|^d), and at d >= 5 a row
+    is kept only when its Weierstrass inclusion discs are pairwise disjoint
+    (_isolated), which catches a duplicated or lost root that the residual
+    cannot see.  The solvers at d >= 3 are not backward stable: with
+    coefficients of very different sizes, as in z^3 + 10^6 z^2 + 1/3, they
+    lose the small roots, and at a double root the Aberth discs overlap, so
+    rows that fail a check are solved again by eigenvalues of companion
+    matrices (``np.linalg.eigvals``).  Raises RootFindingError for a
+    non-finite target and when a row still fails.
     """
     d = f.d
     t = np.asarray(targets, dtype=complex)
@@ -358,10 +351,7 @@ def _preimages_batch(f: MonicPoly, targets: np.ndarray) -> np.ndarray:
     coeffs = f.float_coeffs()
     resid = None
     if d == 2:
-        b = complex(f.coeffs[1])
-        c = complex(f.coeffs[0])
-        disc = np.sqrt(b * b - 4.0 * (c - t))
-        roots = np.stack([(-b + disc) / 2.0, (-b - disc) / 2.0], axis=-1)
+        roots = np.stack(_quadratic(complex(f.coeffs[1]), complex(f.coeffs[0]) - t), axis=-1)
     else:
         s, c = _depressed(f)
         r = float(c[0]) - t
@@ -391,17 +381,12 @@ def equilibrium_sample(f: MonicPoly, N: int, rng, expand_levels: int = 0) -> Equ
     expand_levels generations may instead take *all* preimages of each chain
     endpoint (full tree expansion), which preserves per-point marginals and
     makes low-order empirical moments exact.  Each generation solves
-    f(w) = t for every chain at once: by the quadratic formula at d = 2,
-    Cardano's formula at d = 3 and Ferrari's at d = 4 (both polished by 2
-    Newton steps), and the Aberth-Ehrlich iteration at d >= 5, whose rows
-    must also have pairwise disjoint Weierstrass inclusion discs; rows that
-    miss the residual or disc check are solved again by companion-matrix
-    eigenvalues.
+    f(w) = t for every chain at once (_preimages_batch).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     d = f.d
-    R, _, _ = _arch_params(f)
+    R = _arch_params(f)
     n_gens = int(math.ceil(math.log(max(N, 2)) / math.log(d))) + 20
     L = max(0, min(expand_levels, n_gens))
     groups = N // d**L if L > 0 else 0
@@ -463,7 +448,7 @@ def _tree_side(f: MonicPoly, g: MonicPoly, N: int, tol: float) -> Tuple[float, f
     last step alone can be small by accident where E_k converges unevenly.
     """
     d = f.d
-    R, _, _ = _arch_params(f)
+    R = _arch_params(f)
     n = 2
     while d**n < N:
         n += 1

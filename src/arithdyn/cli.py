@@ -14,8 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .heights import canonical_height, global_pairing, pairing_bounds
 from .archimedean import green_arch
 from .polynomials import MonicPoly, SliceSpec, height, is_ordinary
@@ -82,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=4000,
         help="minimum number of preimage-tree nodes per side of the archimedean term",
     )
-    p.add_argument("--seed", type=int, default=0, help="accepted but unused: a pairing is deterministic")
     p.add_argument("--bounds-only", action="store_true", help="sampling-free interval enclosure")
 
     p = sub.add_parser("prep-intersect", help="exact common preperiodic points")
@@ -120,10 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _eps_arg(text: str):
-    return Fraction(text) if "/" in text else float(text)
-
-
 def _run(args) -> int:
     if args.cmd == "height":
         f = _poly_arg(args.poly)
@@ -152,7 +145,7 @@ def _run(args) -> int:
         if args.bounds_only:
             rep = pairing_bounds(f, g)
         else:
-            rep = global_pairing(f, g, args.samples, np.random.default_rng(args.seed))
+            rep = global_pairing(f, g, args.samples)
         _emit(rep.to_json())
     elif args.cmd == "prep-intersect":
         f = _poly_arg(args.f)
@@ -162,7 +155,7 @@ def _run(args) -> int:
     elif args.cmd == "ordinary-check":
         f = _poly_arg(args.f)
         g = _poly_arg(args.g)
-        ok, witness = is_ordinary(f, g, args.X, _eps_arg(args.eps))
+        ok, witness = is_ordinary(f, g, args.X, Fraction(args.eps))
         _emit({"ordinary": ok, "witness": witness, "X": args.X, "eps": args.eps})
     elif args.cmd == "survey":
         if args.kind == "prep":
@@ -170,7 +163,7 @@ def _run(args) -> int:
                 d=args.d,
                 X=args.X,
                 samples=args.samples,
-                eps=float(_eps_arg(args.eps)),
+                eps=float(Fraction(args.eps)),
                 seed=args.seed,
                 slice=_parse_slice(args.slice) if args.slice else None,
                 m_cap=args.m_cap,
@@ -179,12 +172,12 @@ def _run(args) -> int:
             )
             _emit(survey_average_prep(cfg).to_json())
         else:
-            res = survey_ordinary(args.d, args.X, _eps_arg(args.eps), args.samples, args.seed)
+            res = survey_ordinary(args.d, args.X, Fraction(args.eps), args.samples, args.seed)
             _emit(res.to_json())
     elif args.cmd == "robin":
         f = _poly_arg(args.f)
         g = _poly_arg(args.g)
-        eps = _eps_arg(args.eps)
+        eps = Fraction(args.eps)
         if args.c is None:
             c, aset = search_adelic_c(f, g, args.X, eps)
         else:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .archimedean import arch_pairing, green_arch
 from .polynomials import MonicPoly, height, local_profile
@@ -488,33 +488,36 @@ def _finite_entries(f: MonicPoly, g: MonicPoly) -> Tuple[List[PlaceEntry], LogVa
     return entries, exact_sum
 
 
-def global_pairing(f: MonicPoly, g: MonicPoly, N: int = 4000, rng=None) -> PairingReport:
-    """Global energy pairing <mu_f, mu_g>: exact good places, bad-place
-    intervals, and the archimedean term v from preimage-tree quadrature on
-    at least N nodes per side (arch_pairing), entered as [max(v - 2 err, 0),
-    v + 2 err] with its convergence estimate err.  Deterministic: rng is
-    accepted but not drawn from."""
+def _pairing_report(
+    f: MonicPoly, g: MonicPoly, arch_entry: Callable[[], PlaceEntry]
+) -> PairingReport:
+    """The report of f == g (0 at every place), or the finite entries and the
+    archimedean entry arch_entry() with their summed endpoints."""
     if f == g:
         entry = PlaceEntry("inf", "exact", "trivial", 0.0, 0.0, LogValue.zero())
         return PairingReport(f, g, (entry,), 0.0, 0.0, LogValue.zero())
     if f.d != g.d:
         raise ValueError("pairing formulas require equal degrees")
     entries, exact_sum = _finite_entries(f, g)
-    ap = arch_pairing(f, g, N, rng)
-    entries.append(
-        PlaceEntry(
-            "inf",
-            "numeric",
-            "archimedean",
-            max(ap.value - 2 * ap.err, 0.0),
-            ap.value + 2 * ap.err,
-            None,
-            ap.err,
-        )
-    )
+    entries.append(arch_entry())
     lo = sum(e.lo for e in entries)
     hi = sum(e.hi for e in entries)
-    report = PairingReport(f, g, tuple(entries), lo, hi, exact_sum)
+    return PairingReport(f, g, tuple(entries), lo, hi, exact_sum)
+
+
+def global_pairing(f: MonicPoly, g: MonicPoly, N: int = 4000, rng=None) -> PairingReport:
+    """Global energy pairing <mu_f, mu_g>: exact good places, bad-place
+    intervals, and the archimedean term v from preimage-tree quadrature on
+    at least N nodes per side (arch_pairing), entered as [max(v - 2 err, 0),
+    v + 2 err] with its convergence estimate err.  Deterministic: rng is
+    accepted but not drawn from."""
+
+    def arch_entry() -> PlaceEntry:
+        ap = arch_pairing(f, g, N, rng)
+        lo, hi = max(ap.value - 2 * ap.err, 0.0), ap.value + 2 * ap.err
+        return PlaceEntry("inf", "numeric", "archimedean", lo, hi, None, ap.err)
+
+    report = _pairing_report(f, g, arch_entry)
     mean_height = (float(height(f)) + float(height(g))) / f.d
     if report.total_lo - 2.0 > mean_height + 1e-9:
         raise AssertionError("pairing sandwich violated: lo - 2 > (h(f)+h(g))/d")
@@ -524,19 +527,12 @@ def global_pairing(f: MonicPoly, g: MonicPoly, N: int = 4000, rng=None) -> Pairi
 def pairing_bounds(f: MonicPoly, g: MonicPoly) -> PairingReport:
     """Sampling-free enclosure: the archimedean term enters as the interval
     [0, (1/d)(log M_{f,inf} + log M_{g,inf}) + 2]."""
-    if f == g:
-        entry = PlaceEntry("inf", "exact", "trivial", 0.0, 0.0, LogValue.zero())
-        return PairingReport(f, g, (entry,), 0.0, 0.0, LogValue.zero())
-    if f.d != g.d:
-        raise ValueError("pairing formulas require equal degrees")
-    entries, exact_sum = _finite_entries(f, g)
-    m_inf = float(local_profile(f, PlaceQ.arch()).M) + float(local_profile(g, PlaceQ.arch()).M)
-    entries.append(
-        PlaceEntry("inf", "interval", "archimedean", 0.0, m_inf / f.d + 2.0, None)
-    )
-    lo = sum(e.lo for e in entries)
-    hi = sum(e.hi for e in entries)
-    return PairingReport(f, g, tuple(entries), lo, hi, exact_sum)
+
+    def arch_entry() -> PlaceEntry:
+        m_inf = float(local_profile(f, PlaceQ.arch()).M) + float(local_profile(g, PlaceQ.arch()).M)
+        return PlaceEntry("inf", "interval", "archimedean", 0.0, m_inf / f.d + 2.0, None)
+
+    return _pairing_report(f, g, arch_entry)
 
 
 def sandwich_check(f: MonicPoly, g: MonicPoly, X: int, N: int = 1000, rng=None) -> List[BoundReport]:

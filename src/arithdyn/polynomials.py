@@ -262,10 +262,12 @@ def height(f: MonicPoly) -> LogValue:
 
 
 def _eps_fraction(eps) -> Fraction:
-    """Canonicalize a tolerance exponent; floats go through their decimal text."""
-    if isinstance(eps, float):
-        return Fraction(str(eps))
-    return Fraction(eps)
+    """The tolerance exponent eps as an exact fraction in (0, 1/4); floats go
+    through their decimal text."""
+    e = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+    if not 0 < e < Fraction(1, 4):
+        raise ValueError("eps must lie in (0, 1/4)")
+    return e
 
 
 def _pair_coefficients(f: MonicPoly, g: MonicPoly) -> List[Tuple[str, Fraction, int]]:
@@ -295,8 +297,6 @@ def is_ordinary(f: MonicPoly, g: MonicPoly, X: int, eps) -> Tuple[bool, Optional
     e = _eps_fraction(eps)
     q_rad = 1 - 2 * e
     q_gcd = 2 * e
-    if q_rad <= 0:
-        raise ValueError("eps must be < 1/2")
     nonzero = [(lab, c, r) for lab, c, r in coeffs if c != 0]
     for lab, c, r in nonzero:
         # r >= X^(1-2e)  <=>  r^den >= X^num, all integer

@@ -1,7 +1,7 @@
 """Desk-scale preperiodic points: the disjointness certificate (the shells
-test of `nonarchimedean` at a finite place, the survey's Case 1), complex
-preperiodic clusters, exact shared preperiodic points, and exact enumeration
-of rational preperiodic points.
+test of `nonarchimedean` at a finite place, the survey's Case 1), exact
+shared preperiodic points, and exact enumeration of rational preperiodic
+points.
 
 The points that f and g share at caps (m, n) are exactly the roots of
 gcd(prod (f^m - f^n), prod (g^m' - g^n')) over Q.  `prep_intersect` screens
@@ -37,7 +37,6 @@ __all__ = [
     "CertifiedPoint",
     "CapExceeded",
     "disjoint_certificate",
-    "preperiodic_complex",
     "prep_intersect",
     "rational_prep",
     "is_rational_preperiodic",
@@ -153,31 +152,6 @@ def _difference(hi: Tuple[List[int], int], lo: Tuple[List[int], int]) -> List[in
         out[i] -= c * (L // G)
     k = gcd(*out)
     return [c // k for c in out]
-
-
-def preperiodic_complex(
-    f: MonicPoly, m_cap: int, n_cap: int, tol: float = 1e-8
-) -> List[Tuple[complex, List[Tuple[int, int]]]]:
-    """Numeric roots of f^m - f^n for all n < m <= m_cap, n <= n_cap,
-    deduplicated at tolerance tol and tagged with every (m, n) they solve."""
-    iterates = _iterates(f, m_cap)
-    clusters: List[Tuple[complex, List[Tuple[int, int]]]] = []
-    for m in range(1, m_cap + 1):
-        for n in range(0, min(n_cap, m - 1) + 1):
-            diff = _difference(iterates[m], iterates[n])
-            try:
-                roots = np.roots([c / diff[-1] for c in reversed(diff)])
-            except OverflowError:
-                raise CapExceeded("iterate coefficients overflow float range") from None
-            for r in roots:
-                for k, (rep, tags) in enumerate(clusters):
-                    if abs(r - rep) <= tol:
-                        if (m, n) not in tags:
-                            tags.append((m, n))
-                        break
-                else:
-                    clusters.append((complex(r), [(m, n)]))
-    return clusters
 
 
 def _denominator_bound(f: MonicPoly) -> int:

@@ -28,7 +28,15 @@ from .nonarchimedean import (
     strata_intersection_set,
     strata_union_set,
 )
-from .polynomials import MonicPoly, SliceSpec, classify_places, height, is_ordinary, sample
+from .polynomials import (
+    MonicPoly,
+    SliceSpec,
+    _eps_fraction,
+    classify_places,
+    height,
+    is_ordinary,
+    sample,
+)
 from .preperiodic import CapExceeded, _differences, _shared_min_polys, disjoint_certificate
 from .rationals import LogValue, PlaceQ, factorize
 
@@ -68,8 +76,7 @@ class SurveyConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
-        if not (0 < self.eps < 0.25):
-            raise ValueError("eps must lie in (0, 1/4)")
+        _eps_fraction(self.eps)
         if self.m_cap < 1 or self.n_cap < 0:
             raise ValueError("caps must satisfy m_cap >= 1 and n_cap >= 0")
 
@@ -339,8 +346,6 @@ def radical_stats(X: int, eps=Fraction(1, 5)) -> RadicalStats:
     """
     if not (1 <= X <= 10**7):
         raise ValueError("X must be in [1, 10^7]")
-    from .polynomials import _eps_fraction
-
     e = _eps_fraction(eps)
     q = 1 - 2 * e
     rad = _rad_sieve(X)

@@ -136,20 +136,22 @@ def _pullback(f: MonicPoly, w: np.ndarray, levels: int) -> np.ndarray:
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_green_many_matches_deep_iteration(rng, tol):
     """Stopping at the tolerance depth n_tol loses at most tol: on the disc
-    |z| <= T = max(R, 2M), where G reaches about log T (z^2 + 100 has R = 10
-    and T = 200), on points whose orbits stay just inside T for k steps,
-    where G is largest for a given depth, on preimage-tree points, which lie
-    near the Julia set, and on slow escapers, whose orbits leave |z| <= T
-    long after n_tol."""
+    |z| <= T = max(R, 2M), M = max(1, max |a_i|), which contains the escape
+    radius R and can be much wider (z^2 + 100 has R = 30 and T = 200), so
+    G reaches about log T; on points whose orbits stay just inside T for k
+    steps, where G is largest for a given depth; on preimage-tree points,
+    which lie near the Julia set; and on slow escapers, whose orbits leave
+    |z| <= R long after n_tol."""
     cases = [(MonicPoly.from_text("z^2+100"), _in_disc(rng, 200.0, 400))]
     for d in range(2, 7):
         for X in (2, 50):
             f = sample(d, X, rng)
-            T = archimedean._arch_params(f)[2]
+            M = max([1.0] + [abs(float(c)) for c in f.coeffs])
+            T = max(archimedean._arch_params(f), 2.0 * M)
             edge = 0.999 * T * np.exp(2j * np.pi * rng.random(4))
             cases.append((f, np.concatenate([_in_disc(rng, T, 400), _pullback(f, edge, 50)])))
     f, g = MonicPoly.from_text("z^3-(1/2)z+1"), MonicPoly.from_text("z^2-z-(3/4)")
-    tree = np.array([archimedean._arch_params(f)[0] + 1.0], dtype=complex)
+    tree = np.array([archimedean._arch_params(f) + 1.0], dtype=complex)
     for _ in range(5):
         tree = _preimages_batch(f, tree).reshape(-1)
     cases += [(f, tree), (g, tree)]
@@ -169,6 +171,29 @@ def test_green_many_power_map_matches_deep_iteration(rng):
         got = green_arch_many(f, zs.reshape(11, 20))
         assert got.shape == (11, 20)
         assert np.max(np.abs(got.ravel() - _deep_green(f, zs, 1000))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda d: st.lists(st.fractions(-100, 100, max_denominator=30), min_size=d, max_size=d)
+    ),
+    st.fractions(0, 3, max_denominator=50),
+    st.booleans(),
+)
+def test_escape_radius_bounds(coeffs, scale, negative):
+    """The bound behind green_arch_many: with R the profile's escape radius,
+    |f(z)| < 1.5 max(|z|, R)^d, and |f(z)| >= |z|^d / 2 >= 1.5 |z| for |z| > R,
+    on rational z.  |z| > R = 3 max(1, |a_i|^(1/(d-i))) is decided exactly:
+    |z| > 3 and (|z|/3)^(d-i) > |a_i| for every i."""
+    d = len(coeffs)
+    f = MonicPoly.make(d, dict(enumerate(coeffs)))
+    R = archimedean._arch_params(f)
+    z = scale * F(R).limit_denominator(100) * (-1 if negative else 1)
+    fz = z**d + sum(c * z**i for i, c in enumerate(coeffs))
+    assert float(abs(fz)) < 1.5 * max(float(abs(z)), R) ** d * (1 + 1e-12)
+    if abs(z) > 3 and all((abs(z) / 3) ** (d - i) > abs(c) for i, c in enumerate(coeffs)):
+        assert abs(fz) >= abs(z) ** d / 2 >= F(3, 2) * abs(z)
 
 
 def test_equilibrium_sample_unit_circle(rng):
@@ -516,12 +541,22 @@ def test_preimages_reject_non_finite_targets(d, bad):
 @pytest.mark.parametrize(
     "text", ["z^2+1000000z+(1/3)", "z^3+1000000z^2+(1/3)", "z^4+100000z^3+(1/3)", "z^5+1000000z^4+(1/3)"]
 )
-def test_preimages_badly_scaled_rows_fall_back_to_eigvals(text, rng):
+def test_preimages_badly_scaled_rows_fall_back_to_eigvals(text, rng, monkeypatch):
     """Coefficients of very different sizes: the closed forms lose the small
-    roots, and the rows that miss the residual check are solved again."""
+    roots, and the rows that miss the residual check are solved again.  The
+    stable quadratic formula keeps every root at d = 2, so no row is."""
     f = MonicPoly.from_text(text)
     t = np.array([0.5 + 0.1j, -2.0, 1e-3j, 1e6, -1e6 + 1e3j])
+    redone = []
+    companion = archimedean._companion_roots
+
+    def counting(f, t):
+        redone.extend(t)
+        return companion(f, t)
+
+    monkeypatch.setattr(archimedean, "_companion_roots", counting)
     roots = _preimages_batch(f, t)
+    assert (redone == []) == (f.d == 2)
     assert _multiset_distance(roots, _companion_roots(f, t)) <= 1e-9 * (1 + np.max(np.abs(roots)))
     assert np.max(_relative_residual(f, roots, t)) <= 1e-9
     assert equilibrium_sample(f, 500, rng).points.shape == (500,)

@@ -11,6 +11,7 @@ from arithdyn import (
     PlaceQ,
     SliceSpec,
     StrataHypothesisError,
+    SurveyConfig,
     abs_at,
     classify_case,
     classify_places,
@@ -21,6 +22,7 @@ from arithdyn import (
     julia_shells,
     local_profile,
     mass_outside_unit,
+    radical_stats,
     sample,
     sample_rational,
     strata,
@@ -105,6 +107,19 @@ def test_is_ordinary_preconditions():
         is_ordinary(f, MonicPoly.make(2), 10, 0.1)
     with pytest.raises(ValueError):
         is_ordinary(MonicPoly.make(2), MonicPoly.from_text("z^2+100"), 10, 0.1)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.25, F(1, 4), 0, -0.1, "1/2"])
+def test_eps_outside_the_open_quarter_is_rejected(eps):
+    """is_ordinary, radical_stats and SurveyConfig share one range, 0 < eps < 1/4."""
+    f, g = MonicPoly.from_text("z^2+1/5"), MonicPoly.from_text("z^2+(1/7)z+1/11")
+    with pytest.raises(ValueError, match="eps"):
+        is_ordinary(f, g, 11, eps)
+    with pytest.raises(ValueError, match="eps"):
+        radical_stats(20, eps)
+    with pytest.raises(ValueError, match="eps"):
+        SurveyConfig(d=2, X=11, samples=1, eps=eps)
+    assert is_ordinary(f, g, 11, 0.2) == is_ordinary(f, g, 11, "1/5") == (True, None)
 
 
 def test_classify_places_examples():

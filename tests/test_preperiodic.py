@@ -14,11 +14,10 @@ from arithdyn import (
     is_rational_preperiodic,
     prep_intersect,
     preperiodic,
-    preperiodic_complex,
     rational_prep,
     sample,
 )
-from arithdyn.preperiodic import CapExceeded, _differences, _gcd_lanes, _shared_min_polys
+from arithdyn.preperiodic import _differences, _gcd_lanes, _shared_min_polys
 
 Z2 = MonicPoly.make(2)
 CHEB = MonicPoly.from_text("z^2-2")
@@ -37,36 +36,6 @@ def test_disjoint_certificate_examples():
     assert disjoint_certificate(f, HALF).p == 2
     cert = prep_intersect(f, HALF)
     assert (cert.verdict, cert.witness_place) == ("disjoint", 2)
-
-
-def test_preperiodic_complex_power_map():
-    clusters = preperiodic_complex(Z2, 3, 2)
-    for z, tags in clusters:
-        assert abs(abs(z) - 1) < 1e-9 or abs(z) < 1e-9
-        for m, n in tags:
-            assert 0 <= n < m <= 3
-
-
-def test_preperiodic_complex_chebyshev_m2_n1():
-    clusters = preperiodic_complex(CHEB, 2, 1)
-    pts = [z for z, tags in clusters if (2, 1) in tags]
-    assert any(abs(z - 2) < 1e-9 for z in pts)
-    assert any(abs(z + 1) < 1e-9 for z in pts)
-
-
-def test_preperiodic_complex_count_bound():
-    for m_cap, n_cap in ((2, 1), (3, 2)):
-        clusters = preperiodic_complex(Z2, m_cap, n_cap)
-        total_roots = sum(len(tags) for _, tags in clusters)
-        bound = sum(
-            2**m + 2**n for m in range(1, m_cap + 1) for n in range(0, min(n_cap, m - 1) + 1)
-        )
-        assert total_roots <= bound
-
-
-def test_preperiodic_complex_degree_budget():
-    with pytest.raises(CapExceeded):
-        preperiodic_complex(MonicPoly.make(6), 6, 2)
 
 
 def test_prep_intersect_chebyshev_benchmark():
