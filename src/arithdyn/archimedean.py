@@ -1,6 +1,6 @@
 """Archimedean dynamics: escape-rate Green's function, equilibrium-measure
-sampling by inverse iteration, moments, Hoelder constants, and the
-archimedean energy pairing by preimage-tree quadrature.
+samples from the full preimage tree, moments, Hoelder constants, and the
+archimedean energy pairing by quadrature over the same tree.
 
 Green's function evaluation is escape-based: once an orbit leaves the ball
 that provably contains the filled Julia set, |f(z)| tracks |z|^d up to a
@@ -16,6 +16,12 @@ d = 3 and 4, and by the Aberth-Ehrlich iteration at d >= 5, whose rows are
 kept only when the roots' Weierstrass inclusion discs are pairwise
 disjoint.  Every root is residual-checked, and rows that fail are solved
 again by companion-matrix eigenvalues.
+
+One generator (_tree_levels) builds the full preimage tree level by level.
+Level n is the pullback d^-n (f^n)^* of the root's mass, which tends to the
+equilibrium measure mu_f: equilibrium_sample returns one level, and
+arch_pairing averages Green's functions over the last three.  Nothing here
+draws random numbers.
 """
 
 from __future__ import annotations
@@ -136,10 +142,10 @@ def holder_constants(f: MonicPoly) -> HolderConstants:
 
 @dataclass(frozen=True)
 class EquilibriumSample:
-    """Inverse-iteration sample of the equilibrium measure at infinity."""
+    """One level of the full preimage tree of f, which approximates the
+    equilibrium measure at infinity (equilibrium_sample)."""
 
     points: np.ndarray
-    generation: int
     poly: MonicPoly
 
     def __post_init__(self):
@@ -373,42 +379,44 @@ def _preimages_batch(f: MonicPoly, targets: np.ndarray) -> np.ndarray:
     return roots
 
 
-def equilibrium_sample(f: MonicPoly, N: int, rng, expand_levels: int = 0) -> EquilibriumSample:
-    """N points by depth-n inverse iteration from the start z0 = R + 1.
+def _tree_levels(f: MonicPoly, z: np.ndarray, n: int):
+    """Levels 0..n of the full preimage tree of the points z: level k is all
+    d^k len(z) solutions w of f^k(w) = t, t in z, each level solved from the
+    last at once (_preimages_batch)."""
+    yield z
+    for _ in range(n):
+        z = _preimages_batch(f, z).reshape(-1)
+        yield z
 
-    Each point follows an independent random branch per generation, so the
-    sample is i.i.d. from the depth-n pullback of the start mass.  The last
-    expand_levels generations may instead take *all* preimages of each chain
-    endpoint (full tree expansion), which preserves per-point marginals and
-    makes low-order empirical moments exact.  Each generation solves
-    f(w) = t for every chain at once (_preimages_batch).
+
+def _tree_depth(d: int, N: int) -> int:
+    """The first n >= 2 with d^n >= N."""
+    n = 2
+    while d**n < N:
+        n += 1
+    return n
+
+
+def equilibrium_sample(f: MonicPoly, N: int) -> EquilibriumSample:
+    """The d^n points of level n of the full preimage tree of one point, for
+    the first n >= 2 with d^n >= N.
+
+    The root is reached from b = R + 1 by 20 steps that each take the first
+    solution of f(w) = t, so it lies at Green's function d^-20 G(b) and the
+    level at d^-(n+20) G(b).  The level is the pullback d^-n (f^n)^* of the
+    root's mass, which tends to mu_f (Brolin, Lyubich).  Its moments of
+    order k <= d are those of mu_f exactly: the power sums of the roots of
+    f(w) = t depend on t only at k = d, and there through t itself, whose
+    mean over level n - 1 >= 1 is exact.  Deterministic.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    d = f.d
-    R = _arch_params(f)
-    n_gens = int(math.ceil(math.log(max(N, 2)) / math.log(d))) + 20
-    L = max(0, min(expand_levels, n_gens))
-    groups = N // d**L if L > 0 else 0
-    leftover = N - groups * d**L
-    chain_count = groups + leftover
-    z = np.full(chain_count, R + 1.0, dtype=complex)
-    for _ in range(n_gens - L):
-        roots = _preimages_batch(f, z)
-        pick = rng.integers(0, d, size=z.shape[0])
-        z = roots[np.arange(z.shape[0]), pick]
-    tree = z[:groups]
-    tail = z[groups:]
-    for _ in range(L):
-        if tree.shape[0]:
-            tree = _preimages_batch(f, tree).reshape(-1)
-        if tail.shape[0]:
-            roots = _preimages_batch(f, tail)
-            pick = rng.integers(0, d, size=tail.shape[0])
-            tail = roots[np.arange(tail.shape[0]), pick]
-    pts = np.concatenate([tree, tail])
-    pts = pts[rng.permutation(pts.shape[0])]
-    return EquilibriumSample(points=pts, generation=n_gens, poly=f)
+    z = np.array([_arch_params(f) + 1.0], dtype=complex)
+    for _ in range(20):
+        z = _preimages_batch(f, z)[:, 0]
+    for z in _tree_levels(f, z, _tree_depth(f.d, N)):
+        pass  # only the last level is kept
+    return EquilibriumSample(points=z, poly=f)
 
 
 def moment(s: EquilibriumSample, k: int) -> complex:
@@ -420,7 +428,9 @@ def moment(s: EquilibriumSample, k: int) -> complex:
 
 @dataclass(frozen=True)
 class ArchPairing:
-    """Symmetrized archimedean pairing from preimage-tree quadrature.
+    """Symmetrized archimedean pairing from preimage-tree quadrature: each
+    side averages one map's Green's function over the tree whose levels
+    equilibrium_sample returns, built for the other map.
 
     The errors are convergence estimates read off the last tree levels,
     not certified bounds.
@@ -448,15 +458,9 @@ def _tree_side(f: MonicPoly, g: MonicPoly, N: int, tol: float) -> Tuple[float, f
     last step alone can be small by accident where E_k converges unevenly.
     """
     d = f.d
-    R = _arch_params(f)
-    n = 2
-    while d**n < N:
-        n += 1
-    z = np.array([R + 1.0], dtype=complex)
+    n = _tree_depth(d, N)
     means = []  # E_{n-2}, E_{n-1}, E_n
-    for k in range(n + 1):
-        if k:
-            z = _preimages_batch(f, z).reshape(-1)
+    for k, z in enumerate(_tree_levels(f, np.array([_arch_params(f) + 1.0], dtype=complex), n)):
         if k >= n - 2:
             means.append(float(np.mean(green_arch_many(g, z, tol))))
     e2, e1, e0 = means
@@ -464,14 +468,14 @@ def _tree_side(f: MonicPoly, g: MonicPoly, N: int, tol: float) -> Tuple[float, f
     return e0 - 0.5 * (e1 - e0) / (d - 1), err
 
 
-def arch_pairing(f: MonicPoly, g: MonicPoly, N: int, rng, tol: float = 1e-10) -> ArchPairing:
+def arch_pairing(f: MonicPoly, g: MonicPoly, N: int, *, tol: float = 1e-10) -> ArchPairing:
     """The archimedean local pairing int G_f d(mu_g), by preimage-tree quadrature.
 
     Each side averages one map's Green's function over the full preimage
     tree of the other, of at least N nodes (_tree_side).  The value is the
     mean of the two sides, clipped at 0 because G >= 0, and its error the
-    mean of their errors.  Deterministic and symmetric in (f, g): rng is
-    accepted but not drawn from.  Requires N >= 1000.
+    mean of their errors.  Deterministic and symmetric in (f, g).  Requires
+    N >= 1000.
     """
     if N < 1000:
         raise ValueError("N must be >= 1000")

@@ -5,7 +5,8 @@ Per-place pairing contributions are exact at places where one polynomial has
 a single large coefficient and everything else is small (the value is then
 read off the Gauss point), honest intervals at the remaining bad places, and
 a deterministic preimage-tree quadrature with a convergence error estimate
-at the archimedean place.
+at the archimedean place.  Nothing here draws random numbers: global_pairing
+takes an rng only to keep an old positional call working, and ignores it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .archimedean import arch_pairing, green_arch
+from .archimedean import arch_pairing, green_arch, holder_constants
 from .polynomials import MonicPoly, height, local_profile
 from .rationals import LogValue, PlaceQ, Rat, factorize, ord_p
 
@@ -509,11 +510,14 @@ def global_pairing(f: MonicPoly, g: MonicPoly, N: int = 4000, rng=None) -> Pairi
     """Global energy pairing <mu_f, mu_g>: exact good places, bad-place
     intervals, and the archimedean term v from preimage-tree quadrature on
     at least N nodes per side (arch_pairing), entered as [max(v - 2 err, 0),
-    v + 2 err] with its convergence estimate err.  Deterministic: rng is
-    accepted but not drawn from."""
+    v + 2 err] with its convergence estimate err.
+
+    Deterministic.  rng is ignored; it stays only because the benchmark's
+    pairing workload (benchmark/workloads.py) passes a generator to it
+    positionally."""
 
     def arch_entry() -> PlaceEntry:
-        ap = arch_pairing(f, g, N, rng)
+        ap = arch_pairing(f, g, N)
         lo, hi = max(ap.value - 2 * ap.err, 0.0), ap.value + 2 * ap.err
         return PlaceEntry("inf", "numeric", "archimedean", lo, hi, None, ap.err)
 
@@ -535,12 +539,12 @@ def pairing_bounds(f: MonicPoly, g: MonicPoly) -> PairingReport:
     return _pairing_report(f, g, arch_entry)
 
 
-def sandwich_check(f: MonicPoly, g: MonicPoly, X: int, N: int = 1000, rng=None) -> List[BoundReport]:
+def sandwich_check(f: MonicPoly, g: MonicPoly, X: int, N: int = 1000) -> List[BoundReport]:
     """The two fully-specified height inequalities for (f, g) in P_c(X) x P(X):
     pairing - 2 <= (h(f) + h(g))/d <= 2 log X, using the pairing's upper endpoint."""
     if not f.centered:
         raise ValueError("first polynomial must be centered")
-    rep = global_pairing(f, g, N, rng)
+    rep = global_pairing(f, g, N)
     mean_height = (float(height(f)) + float(height(g))) / f.d
     two_log_x = 2.0 * math.log(X)
     return [
@@ -576,11 +580,8 @@ def fudge_min(d: int, j: int, log_aj: Rat) -> Fraction:
 def _radius_family(f: MonicPoly, N: int) -> Dict[str, float]:
     """Adelic radius eps_v = (dN)^(-1/alpha_v) at arch/bad places, 1 at good."""
     d = f.d
-    out: Dict[str, float] = {}
-    prof = local_profile(f, PlaceQ.arch())
-    A_inf = 1.5 * d * (math.exp(float(prof.R)) + 1) ** (d - 1)
     # alpha = log d / log A, so eps = (dN)^(-1/alpha) = (dN)^(-log A / log d)
-    out["inf"] = (d * N) ** (-math.log(A_inf) / math.log(d))
+    out: Dict[str, float] = {"inf": (d * N) ** (-1.0 / holder_constants(f).alpha)}
     for p in f.denominator_primes():
         lp = local_profile(f, PlaceQ.finite(p))
         if lp.reduction == "explicit-good":

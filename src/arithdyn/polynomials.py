@@ -157,8 +157,8 @@ class MonicPoly:
         return [None if c == 0 else ord_p(c, p) for c in self.coeffs]
 
     def explicit_good_at(self, p: int) -> bool:
-        """All |a_i|_p <= 1, i.e. no denominator divisible by p."""
-        return all(c.denominator % p != 0 for c in self.coeffs)
+        """All |a_i|_p <= 1: p has no row in the place table."""
+        return not self._large(p)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -319,15 +319,6 @@ class PairProfile:
     g: MonicPoly
     assoc: Dict[int, Tuple[str, int]]  # prime -> ("f"|"g", coefficient index)
     bad: Tuple[int, ...]
-    arch_f: LocalProfile
-    arch_g: LocalProfile
-
-    def eps_ordinary(self, X: int, eps) -> bool:
-        ok, _ = is_ordinary(self.f, self.g, X, eps)
-        return ok
-
-    def places(self) -> Tuple[int, ...]:
-        return tuple(sorted(set(self.assoc) | set(self.bad)))
 
 
 def classify_places(f: MonicPoly, g: MonicPoly) -> PairProfile:
@@ -347,9 +338,7 @@ def classify_places(f: MonicPoly, g: MonicPoly) -> PairProfile:
             assoc[p] = large[0]
         else:
             bad.append(p)
-    return PairProfile(
-        f, g, assoc, tuple(bad), local_profile(f, PlaceQ.arch()), local_profile(g, PlaceQ.arch())
-    )
+    return PairProfile(f, g, assoc, tuple(bad))
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,8 @@ def test_criterion_04_moment_identity():
             coeffs = dict(enumerate(g.coeffs))
             coeffs[d - k] = new_c
             f = ad.MonicPoly.make(d, coeffs)
-            sf = ad.equilibrium_sample(f, N, rng, expand_levels=2)
-            sg = ad.equilibrium_sample(g, N, rng, expand_levels=2)
+            sf = ad.equilibrium_sample(f, N)
+            sg = ad.equilibrium_sample(g, N)
             diff = ad.moment(sf, k) - ad.moment(sg, k)
             expect = -F(k, d) * (f.coeffs[d - k] - g.coeffs[d - k])
             assert abs(diff - complex(expect)) <= tol, (f, g, k)
@@ -91,9 +91,9 @@ def test_criterion_05_pairing_metric():
         rng = np.random.default_rng(11)
         # self-pairing through the actual sampling machinery
         for f in (Z2, CHEB, ad.MonicPoly.from_text("z^3+(1/2)z+1")):
-            ap = ad.arch_pairing(f, f, 4000, rng)
+            ap = ad.arch_pairing(f, f, 4000)
             assert ap.value <= 2 * max(ap.err, 1e-4)
-            rep = ad.global_pairing(f, f, 2000, rng)
+            rep = ad.global_pairing(f, f, 2000)
             assert rep.total_hi <= 2 * 1e-4
         done = 0
         while done < 20:
@@ -104,7 +104,7 @@ def test_criterion_05_pairing_metric():
             rep = {}
             for i in range(3):
                 for j in range(i + 1, 3):
-                    rep[(i, j)] = ad.global_pairing(polys[i], polys[j], 2000, rng)
+                    rep[(i, j)] = ad.global_pairing(polys[i], polys[j], 2000)
             for a, b, c in ((0, 1, 2), (1, 0, 2), (0, 2, 1)):
                 lhs = math.sqrt(max(rep[tuple(sorted((a, c)))].total_lo, 0.0))
                 rhs = math.sqrt(rep[tuple(sorted((a, b)))].total_hi) + math.sqrt(
@@ -132,7 +132,7 @@ def test_criterion_07_sandwich_and_holder():
                 for _ in range(100):
                     f = ad.sample(d, X, rng, centered=True)
                     g = ad.sample(d, X, rng)
-                    for rep in ad.sandwich_check(f, g, X, N=1000, rng=rng):
+                    for rep in ad.sandwich_check(f, g, X, N=1000):
                         assert rep.satisfied, (f.to_text(), g.to_text(), rep)
         for _ in range(10):
             d = int(rng.integers(2, 5))

@@ -196,17 +196,17 @@ def test_escape_radius_bounds(coeffs, scale, negative):
         assert abs(fz) >= abs(z) ** d / 2 >= F(3, 2) * abs(z)
 
 
-def test_equilibrium_sample_unit_circle(rng):
-    N = 4000
-    s = equilibrium_sample(Z2, N, rng)
-    assert s.points.shape == (N,)
+def test_equilibrium_sample_unit_circle():
+    s = equilibrium_sample(Z2, 4000)
+    assert s.points.shape == (2**12,)
     assert np.max(np.abs(np.abs(s.points) - 1.0)) < 1e-6
-    assert abs(np.mean(s.points)) <= 3 / math.sqrt(N)
+    assert abs(np.mean(s.points)) <= 1e-12
 
 
-def test_equilibrium_sample_arcsine(rng):
-    N = 10**4
-    s = equilibrium_sample(CHEB, N, rng)
+def test_equilibrium_sample_arcsine():
+    s = equilibrium_sample(CHEB, 10**4)
+    N = 2**14
+    assert s.points.shape == (N,)
     assert np.max(np.abs(s.points.imag)) < 1e-6
     x = np.sort(s.points.real)
     assert x[0] >= -2 - 1e-9 and x[-1] <= 2 + 1e-9
@@ -220,50 +220,69 @@ def test_equilibrium_sample_inside_R(rng):
     for _ in range(5):
         f = sample(int(rng.integers(2, 5)), 8, rng)
         R = math.exp(float(local_profile(f, PlaceQ.arch()).R))
-        s = equilibrium_sample(f, 500, rng)
+        s = equilibrium_sample(f, 500)
+        assert s.points.shape == ({2: 512, 3: 729, 4: 1024}[f.d],)
         assert np.all(np.abs(s.points) <= R + 1e-6)
 
 
-def test_equilibrium_sample_expansion_counts(rng):
-    for N in (1000, 999, 100000 % 9 + 991):
-        s = equilibrium_sample(MonicPoly.make(3, {0: F(1)}), N, rng, expand_levels=2)
-        assert s.points.shape == (N,)
-
-
-def test_sample_csv_export(tmp_path, rng):
-    s = equilibrium_sample(Z2, 100, rng)
+def test_sample_csv_export(tmp_path):
+    s = equilibrium_sample(Z2, 100)
     path = tmp_path / "pts.csv"
     s.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "re,im" and len(lines) == 101
+    assert lines[0] == "re,im" and len(lines) == 2**7 + 1
 
 
-def test_moment_examples(rng):
+def test_moment_examples():
     N = 20000
-    s = equilibrium_sample(Z2, N, rng)
+    s = equilibrium_sample(Z2, N)
     assert abs(moment(s, 1)) <= 3 / math.sqrt(N)
     # f = z^2 + bz vs g = z^2, k=1: difference -> -(1/2) b
     b = F(3, 2)
     fb = MonicPoly.make(2, {1: b})
-    sb = equilibrium_sample(fb, N, rng, expand_levels=2)
-    s0 = equilibrium_sample(Z2, N, rng, expand_levels=2)
-    assert abs((moment(sb, 1) - moment(s0, 1)) - (-float(b) / 2)) <= 5 / math.sqrt(N)
+    sb = equilibrium_sample(fb, N)
+    assert abs((moment(sb, 1) - moment(s, 1)) - (-float(b) / 2)) <= 5 / math.sqrt(N)
     # f = z^3 + c vs g = z^3, k=3: difference -> -c
     c = F(-7, 4)
     f3 = MonicPoly.make(3, {0: c})
     g3 = MonicPoly.make(3)
-    s3 = equilibrium_sample(f3, N, rng, expand_levels=2)
-    t3 = equilibrium_sample(g3, N, rng, expand_levels=2)
+    s3 = equilibrium_sample(f3, N)
+    t3 = equilibrium_sample(g3, N)
     assert abs((moment(s3, 3) - moment(t3, 3)) - (-float(c))) <= 5 / math.sqrt(N)
     with pytest.raises(ValueError):
         moment(s3, 4)
 
 
-def test_arch_pairing_self_and_oracle(rng):
-    ap = arch_pairing(CHEB, CHEB, 4000, rng)
+_small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda d: st.tuples(st.lists(_small_rationals, min_size=d, max_size=d), st.integers(1, d), _small_rationals)
+    )
+)
+def test_equilibrium_sample_moment_differences_are_exact(case):
+    """A tree level holds every moment of order k <= d exactly, so two maps
+    differing only in a_{d-k} differ in their k-th sample moments by
+    exactly -(k/d)(a_{d-k} - b_{d-k}), up to rounding; and the sample is
+    deterministic."""
+    coeffs, k, b = case
+    d = len(coeffs)
+    f = MonicPoly(tuple(coeffs))
+    g = MonicPoly(tuple(coeffs[: d - k] + [b] + coeffs[d - k + 1 :]))
+    sf, sg = equilibrium_sample(f, 1000), equilibrium_sample(g, 1000)
+    delta = coeffs[d - k] - b
+    diff = moment(sf, k) - moment(sg, k)
+    assert abs(diff - complex(-F(k, d) * delta)) <= 1e-9 * (1 + abs(delta))
+    assert np.array_equal(equilibrium_sample(f, 1000).points, sf.points)
+
+
+def test_arch_pairing_self_and_oracle():
+    ap = arch_pairing(CHEB, CHEB, 4000)
     assert ap.value >= 0
     assert ap.value <= 3 * max(ap.err, 1e-4)
-    ap2 = arch_pairing(Z2, CHEB, 10**4, rng)
+    ap2 = arch_pairing(Z2, CHEB, 10**4)
     from scipy.integrate import quad
 
     oracle = (2 / math.pi) * quad(lambda t: math.log(2 * math.cos(t)), 0, math.pi / 3)[0]
@@ -277,15 +296,15 @@ def test_arch_pairing_upper_bound(rng):
         d = int(rng.integers(2, 4))
         f = sample(d, 6, rng)
         g = sample(d, 6, rng)
-        ap = arch_pairing(f, g, 2000, rng)
+        ap = arch_pairing(f, g, 2000)
         mf = float(local_profile(f, PlaceQ.arch()).M)
         mg = float(local_profile(g, PlaceQ.arch()).M)
         assert ap.value <= (mf + mg) / d + 2 + 0.05
 
 
-def test_arch_pairing_requires_min_samples(rng):
+def test_arch_pairing_requires_min_samples():
     with pytest.raises(ValueError):
-        arch_pairing(Z2, CHEB, 100, rng)
+        arch_pairing(Z2, CHEB, 100)
 
 
 # --- preimage-tree quadrature -----------------------------------------------
@@ -294,9 +313,12 @@ def test_arch_pairing_requires_min_samples(rng):
 def test_arch_pairing_is_deterministic_and_symmetric():
     f = MonicPoly.from_text("z^3+(1/2)z+1")
     g = MonicPoly.from_text("z^3-2z")
-    ap = arch_pairing(f, g, 2000, np.random.default_rng(1))
-    assert arch_pairing(f, g, 2000, np.random.default_rng(2)) == ap
-    swapped = arch_pairing(g, f, 2000, np.random.default_rng(3))
+    ap = arch_pairing(f, g, 2000)
+    assert arch_pairing(f, g, 2000) == ap
+    # tol is keyword-only: a generator passed where rng used to be is refused
+    with pytest.raises(TypeError):
+        arch_pairing(f, g, 2000, np.random.default_rng(1))
+    swapped = arch_pairing(g, f, 2000)
     assert swapped.value == ap.value and swapped.err == ap.err
     assert (swapped.side_fg, swapped.side_gf) == (ap.side_gf, ap.side_fg)
 
@@ -317,7 +339,7 @@ _pairing_cases = st.tuples(st.integers(2, 5), st.sampled_from((2, 10, 100))).fla
 @example((MonicPoly.from_text("z^5+(1/2)z^4-z^3-z^2+z-1"), MonicPoly.from_text("z^5+(1/2)z^4-2z^3-z+1")))
 def test_arch_pairing_sides_agree_within_errors(pair):
     # int G_f d(mu_g) = int G_g d(mu_f), so the two trees estimate one number
-    ap = arch_pairing(*pair, 1000, None)
+    ap = arch_pairing(*pair, 1000)
     assert ap.value >= 0
     assert abs(ap.side_fg - ap.side_gf) <= ap.err_fg + ap.err_gf
 
@@ -336,7 +358,7 @@ _REGIMES = [
 def test_global_pairing_interval_holds_deeper_tree(f, g, N):
     f, g = MonicPoly.from_text(f), MonicPoly.from_text(g)
     entry = next(e for e in global_pairing(f, g, N).entries if e.place == "inf")
-    deep = arch_pairing(f, g, 2**18, None).value
+    deep = arch_pairing(f, g, 2**18).value
     assert entry.lo <= deep <= entry.hi
     if f == Z2:
         from scipy.integrate import quad
@@ -541,7 +563,7 @@ def test_preimages_reject_non_finite_targets(d, bad):
 @pytest.mark.parametrize(
     "text", ["z^2+1000000z+(1/3)", "z^3+1000000z^2+(1/3)", "z^4+100000z^3+(1/3)", "z^5+1000000z^4+(1/3)"]
 )
-def test_preimages_badly_scaled_rows_fall_back_to_eigvals(text, rng, monkeypatch):
+def test_preimages_badly_scaled_rows_fall_back_to_eigvals(text, monkeypatch):
     """Coefficients of very different sizes: the closed forms lose the small
     roots, and the rows that miss the residual check are solved again.  The
     stable quadratic formula keeps every root at d = 2, so no row is."""
@@ -559,7 +581,7 @@ def test_preimages_badly_scaled_rows_fall_back_to_eigvals(text, rng, monkeypatch
     assert (redone == []) == (f.d == 2)
     assert _multiset_distance(roots, _companion_roots(f, t)) <= 1e-9 * (1 + np.max(np.abs(roots)))
     assert np.max(_relative_residual(f, roots, t)) <= 1e-9
-    assert equilibrium_sample(f, 500, rng).points.shape == (500,)
+    assert equilibrium_sample(f, 500).points.shape == ({2: 512, 3: 729, 4: 1024, 5: 625}[f.d],)
 
 
 @pytest.mark.parametrize("d,solver", [(3, "_cardano"), (4, "_ferrari"), (5, "_aberth")])

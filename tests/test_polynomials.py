@@ -128,8 +128,7 @@ def test_classify_places_examples():
     prof = classify_places(f, g)
     assert prof.assoc == {5: ("f", 0), 7: ("g", 1), 11: ("g", 0)}
     assert prof.bad == ()
-    assert prof.eps_ordinary(11, 0.2)
-    assert prof.places() == (5, 7, 11)
+    assert is_ordinary(f, g, 11, 0.2) == (True, None)
 
     prof2 = classify_places(MonicPoly.from_text("z^2+1/6"), MonicPoly.from_text("z^2+1/10"))
     assert prof2.assoc == {3: ("f", 0), 5: ("g", 0)}
@@ -145,8 +144,7 @@ def test_classify_partition_and_good_reduction(rng):
         f = sample(d, 20, rng, centered=True)
         g = sample(d, 20, rng)
         prof = classify_places(f, g)
-        places = prof.places()
-        assert len(places) == len(set(prof.assoc) | set(prof.bad))
+        assert set(prof.assoc) | set(prof.bad) == set(f.denominator_primes()) | set(g.denominator_primes())
         assert not (set(prof.assoc) & set(prof.bad))
         for p, (side, j) in prof.assoc.items():
             other = g if side == "f" else f
