@@ -4,27 +4,30 @@ shared preperiodic points, and exact enumeration of rational preperiodic
 points.
 
 The points that f and g share at caps (m, n) are exactly the roots of
-gcd(prod (f^m - f^n), prod (g^m' - g^n')) over Q.  `prep_intersect` screens
-that gcd modulo one 31-bit prime dividing no leading coefficient, where a
-trivial gcd mod p proves a trivial gcd over Q (Brown, JACM 1971).  The screen
-is one gcd over GF(p) that advances every pair of differences in lock-step
-(the divsteps of Bernstein and Yang, TCHES 2019), and a survey screens its
-pairs outside Case 1 in blocks, one prime and one such gcd per block.  A
-common factor found by the screen is lifted and checked exactly when it is
-one rational point, and otherwise computed over Z and factored with sympy,
-imported only then.  Every root of f^m - f^n is preperiodic, so no tolerance
-and no height check is involved.
+gcd(prod (f^m - f^n), prod (g^m' - g^n')) over Q.  `prep_intersect` and the
+survey screen that gcd modulo one 31-bit prime dividing no coefficient
+denominator, where a trivial gcd mod p proves a trivial gcd over Q (Brown,
+JACM 1971).  The iterates are composed modulo p in numpy, for all maps of
+one degree at once, and the screen is one gcd over GF(p) that advances every
+pair of differences in lock-step (the divsteps of Bernstein and Yang, TCHES
+2019); a survey screens its pairs outside Case 1 in blocks, one prime and
+one such gcd per block.  Only a pair with a common factor mod p has its
+exact integer iterates built.  The rational points of a common factor are
+found from its roots in GF(p), lifted and checked exactly; sympy is
+imported only to factor what is left.  Every root of f^m - f^n is
+preperiodic, so no tolerance and no height check is involved.
 `suspected_equal` is true exactly when f o g = g o f, i.e. the maps have the
 same preperiodic points; it is independent of the caps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -132,10 +135,14 @@ def _compose(a: Tuple[List[int], int], b: Tuple[List[int], int]) -> Tuple[List[i
     return [c // k for c in acc], D * e_pow // k
 
 
-def _iterates(f: MonicPoly, m_cap: int) -> List[Tuple[List[int], int]]:
-    """The iterates f^0, ..., f^m_cap exactly, each in the form of `_compose`."""
+def _check_budget(f: MonicPoly, m_cap: int) -> None:
     if f.d**m_cap > _DEGREE_BUDGET:
         raise CapExceeded(f"degree {f.d ** m_cap} exceeds budget {_DEGREE_BUDGET}")
+
+
+def _iterates(f: MonicPoly, m_cap: int) -> List[Tuple[List[int], int]]:
+    """The iterates f^0, ..., f^m_cap exactly, each in the form of `_compose`."""
+    _check_budget(f, m_cap)
     F, out = _form(f), [([0, 1], 1)]
     for _ in range(m_cap):
         out.append(_compose(F, out[-1]))
@@ -298,13 +305,6 @@ def _gcd_lanes(lanes: List[Tuple[List[int], List[int]]], p: int) -> List[List[in
     return out
 
 
-def _is_root(a: List[int], x: Fraction) -> bool:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc == 0
-
-
 def _differences(f: MonicPoly, m_cap: int, n_cap: int) -> List[List[int]]:
     """Primitive integer forms of f^(n+k) - f^n, n = min(n_cap, m_cap - k), for
     k = 1..m_cap.  Since f^m(x) = f^n(x) implies f^(m+j)(x) = f^(n+j)(x), their
@@ -317,6 +317,198 @@ def _differences(f: MonicPoly, m_cap: int, n_cap: int) -> List[List[int]]:
     return out
 
 
+def _reduce(f: MonicPoly, p: int) -> List[int]:
+    """f modulo a prime p dividing no coefficient denominator: ascending
+    residues, the leading 1 included."""
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs] + [1]
+
+
+def _iterates_mod(R: np.ndarray, m_cap: int, p: int) -> List[np.ndarray]:
+    """The iterates f^0, ..., f^m_cap modulo p of maps of one degree d, one map
+    per column: row i of R (d + 1 rows, from `_reduce`) and of every output
+    holds the coefficients of z^i.
+
+    f^k = (...(f^(k-1) + a_(d-1)) f^(k-1) + ...) f^(k-1) + a_0 is built one
+    product row of f^(k-1) at a time; each product of two residues is below
+    2^62 and is reduced at once, so int64 never overflows.
+    """
+    assert 2 < p < 2**31
+    ident = np.zeros((2, R.shape[1]), dtype=np.int64)
+    ident[1] = 1
+    out = [ident, R]
+    for _ in range(m_cap - 1):
+        P = out[-1]
+        acc = P.copy()
+        acc[0] = (acc[0] + R[-2]) % p
+        for c in R[-3::-1]:
+            prod = np.zeros((len(acc) + len(P) - 1, R.shape[1]), dtype=np.int64)
+            for i, row in enumerate(P):
+                window = prod[i : i + len(acc)]
+                window += row * acc
+                window %= p
+            prod[0] = (prod[0] + c) % p
+            acc = prod
+        out.append(acc)
+    return out
+
+
+def _differences_mod(R: np.ndarray, m_cap: int, n_cap: int, p: int) -> List[np.ndarray]:
+    """The `_differences` modulo p of the maps of `_iterates_mod`, each monic."""
+    iterates = _iterates_mod(R, m_cap, p)
+    out = []
+    for k in range(1, m_cap + 1):
+        n = min(n_cap, m_cap - k)
+        hi, lo = iterates[n + k].copy(), iterates[n]
+        hi[: len(lo)] = (hi[: len(lo)] - lo) % p
+        out.append(hi)
+    return out
+
+
+def _prime_avoiding(n: int) -> int:
+    """The first prime p <= 2^31 - 1 that does not divide n != 0."""
+    p = 2**31 - 1
+    while n % p == 0:
+        p = next(q for q in range(p - 2, 2, -2) if is_prime(q))
+    return p
+
+
+def _divmod_mod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of a by a monic b over GF(p), ascending."""
+    r = [c % p for c in a]
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    for s in range(len(q) - 1, -1, -1):
+        t = q[s] = r[s + len(b) - 1]
+        if t:
+            for i, c in enumerate(b):
+                r[s + i] = (r[s + i] - t * c) % p
+    return q, _trim(r[: len(b) - 1])
+
+
+def _powmod(a: List[int], e: int, c: List[int], p: int) -> List[int]:
+    """a^e modulo the monic c over GF(p), by squaring, for a of degree below
+    deg c >= 2; residues ascending, padded to deg c coefficients."""
+    k = len(c) - 1
+    low = [-x for x in c[:-1]]
+
+    def mulmod(x: List[int], y: List[int]) -> List[int]:
+        prod = [0] * (2 * k - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    prod[i + j] += xi * yj
+        for s in range(2 * k - 2, k - 1, -1):  # z^k = sum low_i z^i modulo c
+            t = prod[s] % p
+            if t:
+                for i, ci in enumerate(low):
+                    prod[s - k + i] += t * ci
+        return [v % p for v in prod[:k]]
+
+    base = a + [0] * (k - len(a))
+    out = [1] + [0] * (k - 1)
+    while e:
+        if e & 1:
+            out = mulmod(out, base)
+        e >>= 1
+        if e:
+            base = mulmod(base, base)
+    return out
+
+
+def _roots_mod(c: List[int], p: int) -> List[int]:
+    """The distinct roots in GF(p) of a monic c of degree >= 1: the linear
+    factors of gcd(c, z^p - z), split apart by gcds with (z + t)^((p-1)/2) - 1
+    for t = 0, 1, ... (equal-degree splitting, Cantor and Zassenhaus 1981)."""
+    if len(c) > 2:
+        w = _powmod([0, 1], p, c, p)
+        w[1] -= 1
+        (c,) = _gcd_lanes([(c, w)], p)
+    roots, todo, t = [], [c], 0
+    while todo:
+        h = todo.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            w = _powmod([t, 1], (p - 1) // 2, h, p)
+            w[0] -= 1
+            (s,) = _gcd_lanes([(h, w)], p)
+            todo += [s, _divmod_mod(h, s, p)[0]] if 1 < len(s) < len(h) else [h]
+            t += 1
+    return roots
+
+
+def _quotient(a: List[int], g: Tuple[int, ...]) -> Optional[List[int]]:
+    """a / g for an integer polynomial a and a primitive one g, or None if g
+    does not divide a; by Gauss's lemma every quotient coefficient is then an
+    integer, so the first one that is not ends the division."""
+    if (g[0] and a[0] % g[0]) or a[-1] % g[-1]:
+        return None
+    r, n = list(a), len(g) - 1
+    q = [0] * (len(a) - n)
+    for s in range(len(q) - 1, -1, -1):
+        t, m = divmod(r[s + n], g[-1])
+        if m:
+            return None
+        q[s] = t
+        for i, c in enumerate(g):
+            r[s + i] -= t * c
+    return None if any(r[:n]) else q
+
+
+def _pair_factors(lanes: List[Tuple[List[int], List[int], List[int]]], p: int) -> set:
+    """The irreducible factors over Q (ascending, primitive, positive leading
+    coefficient) of every gcd(a, b), for the lanes (a, b, c) of one pair of
+    maps: integer a, b whose leading coefficients are units mod p, and c their
+    monic gcd mod p.
+
+    The candidate factors of a lane are the factors already found for the
+    pair and the rational points that the roots of the gcds in GF(p) allow:
+    a common rational root u/v has v | l = gcd(lc a, lc b), so l r = (l/v) u
+    mod p for the root r it reduces to, and r is lifted to the symmetric
+    residue of l r over l.  A candidate that divides both a and b exactly is
+    a factor: it is divided out of a and b, and its reduction out of c, which
+    leaves the gcd mod p of the quotients.  The roots of a lane's c are
+    searched for only when no candidate divides; sympy is imported only if
+    that search adds none.
+    """
+    known: List[int] = []  # roots in GF(p) of the gcds searched so far
+    factors: set = set()
+    for a, b, c in lanes:
+        searched = False
+        while len(c) > 1:
+            l = gcd(a[-1], b[-1])
+            candidates = {g for g in factors if len(g) > 2}
+            for r in known:
+                s = l * r % p
+                x = Fraction(s - p if s > p // 2 else s, l)
+                candidates.add((-x.numerator, x.denominator))
+            found = False
+            for g in sorted(candidates):
+                inv = pow(g[-1], -1, p)
+                c_g, rem = _divmod_mod(c, [k * inv for k in g], p)
+                qa = None if rem else _quotient(a, g)
+                qb = None if qa is None else _quotient(b, g)
+                if qb is not None:
+                    factors.add(g)
+                    a, b, c, found = qa, qb, c_g, True
+                    if len(c) == 1:
+                        break
+            if found:
+                continue
+            new = [] if searched else [r for r in _roots_mod(c, p) if r not in known]
+            searched = True
+            if new:
+                known += new
+                continue
+            import sympy
+
+            z = sympy.Symbol("z")
+            common = sympy.Poly(a[::-1], z, domain="ZZ").gcd(sympy.Poly(b[::-1], z, domain="ZZ"))
+            for factor, _ in common.factor_list()[1]:
+                factors.add(tuple(int(k) for k in reversed(factor.all_coeffs())))
+            break
+    return factors
+
+
 def _shared_min_polys(
     pairs: List[Tuple[List[List[int]], List[List[int]]]]
 ) -> List[List[Tuple[int, ...]]]:
@@ -326,42 +518,81 @@ def _shared_min_polys(
 
     They are the irreducible factors of gcd(prod A, prod B) over Q, i.e. of
     the pairwise gcd(a, b).  A pair coprime modulo a prime p dividing neither
-    leading coefficient is coprime over Q, so most pairs are settled without
-    sympy.  Every (a, b) of every pair is screened in one `_gcd_lanes` call
-    modulo the first prime below 2^31 that divides no leading coefficient.
+    leading coefficient is coprime over Q (Brown, JACM 1971).  Every (a, b) of
+    every pair is screened in one `_gcd_lanes` call modulo the first prime
+    below 2^31 that divides no leading coefficient in the list.  This screens
+    the exact differences themselves: it is the reference for `_shared_points`,
+    which screens them modulo p before building them.
     """
-    lead = math.prod(c[-1] for A, B in pairs for c in A + B)
-    p = 2**31 - 1
-    while lead % p == 0:
-        p = next(q for q in range(p - 2, 2, -2) if is_prime(q))
-    lanes = [(a, b) for A, B in pairs for a in A for b in B]
-    gcds = iter(_gcd_lanes(lanes, p))
+    p = _prime_avoiding(math.prod(c[-1] for A, B in pairs for c in A + B))
+    gcds = iter(_gcd_lanes([(a, b) for A, B in pairs for a in A for b in B], p))
     out = []
     for A, B in pairs:
-        factors = set()
-        for a in A:
-            for b in B:
-                c = next(gcds)
-                if len(c) == 1:
-                    continue
-                if len(c) == 2:
-                    # At most one common root u/v over Q, with v | l, so that
-                    # l (z + c[0]) = (l/v) (v z - u) mod p: lift it and check
-                    # it exactly.  Shared rational points thus never import
-                    # sympy, which keeps it out of the surveys.
-                    l = gcd(a[-1], b[-1])
-                    s = l * c[0] % p
-                    x = Fraction(p - s if s > p // 2 else -s, l)
-                    if _is_root(a, x) and _is_root(b, x):
-                        factors.add((-x.numerator, x.denominator))
-                        continue
-                import sympy
+        out.append(sorted(_pair_factors([(a, b, next(gcds)) for a in A for b in B], p)))
+    return out
 
-                z = sympy.Symbol("z")
-                common = sympy.Poly(a[::-1], z, domain="ZZ").gcd(sympy.Poly(b[::-1], z, domain="ZZ"))
-                for factor, _ in common.factor_list()[1]:
-                    factors.add(tuple(int(c) for c in reversed(factor.all_coeffs())))
-        out.append(sorted(factors))
+
+def _shared_points(
+    pairs: List[Tuple[MonicPoly, MonicPoly]], m_cap: int, n_cap: int
+) -> List[Union[List[Tuple[int, ...]], CapExceeded, ArithmeticError]]:
+    """For each pair (f, g), the integer minimal polynomials of the points
+    preperiodic for both maps at the caps, as `_shared_min_polys` gives them;
+    or the CapExceeded (an iterate beyond the degree budget, checked before
+    any work) or ArithmeticError that the pair raised, which touches no other
+    pair.
+
+    All pairs are screened in one `_gcd_lanes` call modulo the first prime
+    p <= 2^31 - 1 dividing no coefficient denominator of any map, with the
+    differences built modulo p by `_differences_mod`.  The leading coefficient
+    of a primitive `_difference` divides a power of those denominators, so it
+    is a unit mod p and the monic difference mod p is the primitive one up to
+    a unit: the screen is Brown's.  Only a pair with a gcd mod p other than 1
+    has its exact differences built, and each such gcd is reused to lift its
+    common factors.
+    """
+    out: List = [None] * len(pairs)
+    for k, (f, g) in enumerate(pairs):
+        try:
+            _check_budget(f, m_cap)
+            _check_budget(g, m_cap)
+        except CapExceeded as exc:
+            out[k] = exc
+    live = [pair for pair, o in zip(pairs, out) if o is None]
+    p = _prime_avoiding(math.lcm(*(c.denominator for pair in live for h in pair for c in h.coeffs)))
+    residues: Dict[int, Tuple[List[int], List[int]]] = {}
+    for k, (f, g) in enumerate(pairs):
+        if out[k] is None:
+            try:
+                residues[k] = (_reduce(f, p), _reduce(g, p))
+            except ArithmeticError as exc:
+                out[k] = exc
+    # The differences of every map mod p, composed per degree in one block.
+    reduced = [R for pair in residues.values() for R in pair]
+    by_size: Dict[int, List[int]] = {}
+    for j, R in enumerate(reduced):
+        by_size.setdefault(len(R), []).append(j)
+    diffs: List[List[List[int]]] = [[] for _ in reduced]
+    for js in by_size.values():
+        R = np.array([reduced[j] for j in js], dtype=np.int64).T
+        D = [a.T.tolist() for a in _differences_mod(R, m_cap, n_cap, p)]
+        for col, j in enumerate(js):
+            diffs[j] = [a[col] for a in D]
+    lanes_of = {
+        k: [(a, b) for a in diffs[2 * i] for b in diffs[2 * i + 1]] for i, k in enumerate(residues)
+    }
+    gcds = iter(_gcd_lanes([lane for lanes in lanes_of.values() for lane in lanes], p))
+    for k, lanes in lanes_of.items():
+        cs = [next(gcds) for _ in lanes]
+        if all(len(c) == 1 for c in cs):
+            out[k] = []
+            continue
+        f, g = pairs[k]
+        try:
+            A, B = _differences(f, m_cap, n_cap), _differences(g, m_cap, n_cap)
+            exact = [(a, b, c) for (a, b), c in zip(itertools.product(A, B), cs)]
+            out[k] = sorted(_pair_factors(exact, p))
+        except ArithmeticError as exc:
+            out[k] = exc
     return out
 
 
@@ -378,10 +609,10 @@ def prep_intersect(
 
     Fires the disjointness certificate first when allowed.  Otherwise each
     point comes from an irreducible factor of the gcd over Q of the two maps'
-    iterate differences, screened modulo one prime, so the heights of the
-    certified points are exactly 0 and no tolerance is involved.  An iterate
-    beyond the degree budget reports "inconclusive" rather than silently
-    truncating.
+    iterate differences, screened modulo one prime by the same path as a
+    survey's block of pairs, so the heights of the certified points are
+    exactly 0 and no tolerance is involved.  An iterate beyond the degree
+    budget reports "inconclusive" rather than silently truncating.
 
     `suspected_equal` (False on "disjoint" or if not `check_suspected_equal`)
     is true exactly when f o g = g o f, i.e. the maps have the same
@@ -400,11 +631,11 @@ def prep_intersect(
             return PrepCertificate("disjoint", w.p, (), m_cap, n_cap)
     F, G = _form(f), _form(g)
     suspected = check_suspected_equal and _compose(F, G) == _compose(G, F)
-    try:
-        pair = (_differences(f, m_cap, n_cap), _differences(g, m_cap, n_cap))
-    except CapExceeded:
+    (min_polys,) = _shared_points([(f, g)], m_cap, n_cap)
+    if isinstance(min_polys, CapExceeded):
         return PrepCertificate("inconclusive", None, (), m_cap, n_cap, suspected_equal=suspected)
-    (min_polys,) = _shared_min_polys([pair])
+    if isinstance(min_polys, ArithmeticError):
+        raise min_polys
     return PrepCertificate(
         "intersection",
         None,

@@ -37,7 +37,7 @@ from .polynomials import (
     is_ordinary,
     sample,
 )
-from .preperiodic import CapExceeded, _differences, _shared_min_polys, disjoint_certificate
+from .preperiodic import CapExceeded, _shared_points, disjoint_certificate
 from .rationals import LogValue, PlaceQ, factorize
 
 __all__ = [
@@ -140,8 +140,9 @@ class PrepSurveyResult:
         }
 
 
-# Non-case-1 pairs screened together by one `_shared_min_polys` call.
-_SCREEN_BLOCK = 16
+# Non-case-1 pairs screened together by one `_shared_points` call; 50 samples
+# at d = 6, X = 5 have about 37 such pairs, so one call screens them all.
+_SCREEN_BLOCK = 64
 
 _CSV_COLUMNS = (
     "seed-index",
@@ -163,10 +164,12 @@ def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
     the shared preperiodic points at the configured caps, and aggregate.
 
     Case 1 pairs share no point.  The other pairs are screened in blocks of
-    `_SCREEN_BLOCK`, so that one lock-step gcd serves a whole block; a pair
-    whose iterates exceed the degree budget gives an inconclusive row.  A
-    sample that raises ArithmeticError, or CapExceeded outside its iterates,
-    is counted in `failures`; any other exception propagates."""
+    `_SCREEN_BLOCK`: the iterates of all their maps are composed modulo one
+    prime and one lock-step gcd mod p serves the whole block, and only a pair
+    whose gcd mod p is not 1 has its exact iterates built.  A pair whose
+    iterates exceed the degree budget gives an inconclusive row.  A sample
+    that raises ArithmeticError, or CapExceeded outside its iterates, is
+    counted in `failures`; any other exception propagates."""
     master = np.random.SeedSequence(cfg.seed)
     children = master.spawn(cfg.samples + 1)
     failed: List[int] = []
@@ -194,16 +197,14 @@ def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
     rest = [(i, f, g) for i, f, g, case in drawn if case != 1]
     m, n = cfg.m_cap, cfg.n_cap
     for start in range(0, len(rest), _SCREEN_BLOCK):
-        block = []
-        for i, f, g in rest[start : start + _SCREEN_BLOCK]:
-            try:
-                block.append((i, (_differences(f, m, n), _differences(g, m, n))))
-            except CapExceeded:
+        block = rest[start : start + _SCREEN_BLOCK]
+        for (i, _, _), min_polys in zip(block, _shared_points([(f, g) for _, f, g in block], m, n)):
+            if isinstance(min_polys, CapExceeded):
                 shared[i] = None
-            except ArithmeticError as exc:
-                fail(i, exc)
-        for (i, _), min_polys in zip(block, _shared_min_polys([pair for _, pair in block])):
-            shared[i] = sum(len(mp) - 1 for mp in min_polys)
+            elif isinstance(min_polys, ArithmeticError):
+                fail(i, min_polys)
+            else:
+                shared[i] = sum(len(mp) - 1 for mp in min_polys)
 
     rows: List[SurveyRow] = []
     for i, f, g, case in drawn:

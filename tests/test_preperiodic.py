@@ -1,8 +1,10 @@
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
@@ -17,7 +19,18 @@ from arithdyn import (
     rational_prep,
     sample,
 )
-from arithdyn.preperiodic import _differences, _gcd_lanes, _shared_min_polys
+from arithdyn.preperiodic import (
+    _differences,
+    _differences_mod,
+    _gcd_lanes,
+    _iterates,
+    _iterates_mod,
+    _quotient,
+    _reduce,
+    _roots_mod,
+    _shared_min_polys,
+    _shared_points,
+)
 
 Z2 = MonicPoly.make(2)
 CHEB = MonicPoly.from_text("z^2-2")
@@ -124,7 +137,7 @@ def test_prep_intersect_exact_points(f, g, min_polys):
 
 def test_trivial_screen_does_not_import_sympy():
     # sympy doubles the resident memory of a survey; only a common factor
-    # that is not one rational point may load it.
+    # that is not a product of rational points may load it.
     code = (
         "import sys, arithdyn as ad\n"
         "M = ad.MonicPoly.from_text\n"
@@ -132,6 +145,10 @@ def test_trivial_screen_does_not_import_sympy():
         "assert c.verdict == 'intersection' and c.points == (), c\n"
         "c = ad.prep_intersect(M('z^3+(1/3)z'), M('z^3-2z^2-(2/5)z'), use_certificate=False)\n"
         "assert [p.min_poly for p in c.points] == [(0, 1)], c\n"
+        "c = ad.prep_intersect(M('z^2+2z'), M('z^2-3z'), use_certificate=False)\n"
+        "assert [p.min_poly for p in c.points] == [(0, 1), (1, 1)], c\n"
+        "c = ad.prep_intersect(M('z^2-3/4'), M('z^2+(1/2)z-1/2'), use_certificate=False)\n"
+        "assert [p.min_poly for p in c.points] == [(-1, 2), (1, 2), (3, 2)], c\n"
         "assert 'sympy' not in sys.modules\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -292,6 +309,83 @@ def test_prime_fallback_alone_and_in_a_block():
         assert _shared_min_polys([cheb, fg, cheb]) == [shared_cheb, min_polys, shared_cheb]
         cert = prep_intersect(f, g, *caps, use_certificate=False)
         assert sorted(p.min_poly for p in cert.points) == min_polys
+
+
+_height10 = st.builds(F, st.integers(-10, 10), st.integers(1, 10))
+_maps_of_one_degree = st.integers(2, 6).flatmap(
+    lambda d: st.lists(
+        st.lists(_height10, min_size=d, max_size=d).map(lambda cs: MonicPoly(tuple(cs))),
+        min_size=1,
+        max_size=3,
+    )
+)
+_caps = st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, min(2, m - 1))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_maps_of_one_degree, _caps, st.sampled_from([7, 101, 2**31 - 1]))
+def test_modular_iterates_reduce_the_exact_ones(maps, caps, p):
+    m_cap, n_cap = caps
+    assume(all(c.denominator % p for f in maps for c in f.coeffs))
+    R = np.array([_reduce(f, p) for f in maps], dtype=np.int64).T
+    iterates, diffs = _iterates_mod(R, m_cap, p), _differences_mod(R, m_cap, n_cap, p)
+    for j, f in enumerate(maps):
+        for (P, E), got in zip(_iterates(f, m_cap), iterates):
+            assert [c * pow(E, -1, p) % p for c in P] == got[:, j].tolist()
+        for a, got in zip(_differences(f, m_cap, n_cap), diffs):
+            unit = a[-1] % p
+            assert unit and got[-1, j] == 1
+            assert [c % p for c in a] == [unit * c % p for c in got[:, j].tolist()]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 100), min_size=1, max_size=6), st.lists(st.integers(0, 100), max_size=4))
+def test_roots_mod_matches_brute_force(roots, cofactor):
+    # A product of linear factors, some repeated, times a monic cofactor that
+    # may add roots of its own or none.
+    p = 101
+    c = [1]
+    for r in roots:
+        c = [x % p for x in _times(c, [-r, 1])]
+    c = [x % p for x in _times(c, cofactor + [1])]
+    want = sorted(r for r in range(p) if sum(x * r**i for i, x in enumerate(c)) % p == 0)
+    assert sorted(_roots_mod(c, p)) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_ints, st.lists(st.integers(-9, 9), min_size=2, max_size=4), st.integers(-3, 3))
+def test_quotient_divides_exactly_or_returns_none(q, g, shift):
+    assume(g[-1] != 0 and q[-1] != 0 and math.gcd(*g) == 1)
+    a = _times(q, g)
+    assert _quotient(a, tuple(g)) == q
+    # a + shift * z^k, k < deg g, leaves a nonzero remainder
+    for k in range(len(g) - 1):
+        if shift:
+            b = list(a)
+            b[k] += shift
+            assert _quotient(b, tuple(g)) is None
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_pairs)
+def test_modular_screen_matches_the_exact_one(pair):
+    f, g = pair
+    assume(f != g)
+    for caps in ((2, 1), (3, 2)):
+        exact = (_differences(f, *caps), _differences(g, *caps))
+        assert _shared_points([(f, g)], *caps) == _shared_min_polys([exact])
+
+
+def test_shared_points_double_rational_and_irrational_roots():
+    # f = z + q (z + 1) and g = z + q (z - 1) with q = (z - 1/2)^2 (z + 3)
+    # (z^2 - 2) share 1/2, a double root, -3 and +-sqrt(2) as fixed points.
+    q = [F(1)]
+    for factor in ([F(-1, 2), 1], [F(-1, 2), 1], [F(3), 1], [F(-2), 0, 1]):
+        q = _times(q, factor)
+    f, g = _fixing(q, [1, 1]), _fixing(q, [-1, 1])
+    (found,) = _shared_points([(f, g)], 2, 1)
+    assert {(-1, 2), (3, 1), (-2, 0, 1)} <= set(found)
+    assert found == _shared_min_polys([(_differences(f, 2, 1), _differences(g, 2, 1))])[0]
 
 
 def test_certificate_implies_no_matches(rng):

@@ -232,25 +232,25 @@ def test_survey_prep_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in the intersection layer")
 
-    monkeypatch.setattr("arithdyn.survey._shared_min_polys", broken)
+    monkeypatch.setattr("arithdyn.preperiodic._gcd_lanes", broken)
     with pytest.raises(TypeError):
         survey_average_prep(SurveyConfig(d=2, X=2, samples=20, seed=0))
 
 
 def test_survey_prep_fails_only_the_sample_that_raises(monkeypatch):
-    import arithdyn.survey as survey
+    import arithdyn.preperiodic as preperiodic
 
     cfg = SurveyConfig(d=2, X=2, samples=40, seed=0, m_cap=3, n_cap=2)
     clean = survey_average_prep(cfg).rows
     target = next(r.f for r in clean if r.case != 1)
-    differences = survey._differences
+    reduce = preperiodic._reduce
 
-    def overflowing(f, m_cap, n_cap):
+    def overflowing(f, p):
         if f.to_text() == target:
-            raise OverflowError("iterate too large")
-        return differences(f, m_cap, n_cap)
+            raise OverflowError("residue too large")
+        return reduce(f, p)
 
-    monkeypatch.setattr(survey, "_differences", overflowing)
+    monkeypatch.setattr(preperiodic, "_reduce", overflowing)
     res = survey_average_prep(cfg)
     hit = [r for r in clean if r.case != 1 and target in (r.f, r.g)]
     assert res.failures == len(hit) >= 1
@@ -258,12 +258,30 @@ def test_survey_prep_fails_only_the_sample_that_raises(monkeypatch):
     assert res.rows == tuple(r for r in clean if r not in hit)
 
 
-@pytest.mark.parametrize("d, X, samples, m_cap, n_cap", [(6, 5, 200, 2, 1), (2, 2, 100, 3, 2)])
+def test_survey_builds_exact_iterates_only_for_sharing_pairs(monkeypatch):
+    import arithdyn.preperiodic as preperiodic
+
+    built = []
+    iterates = preperiodic._iterates
+
+    def spy(f, m_cap):
+        built.append(f.to_text())
+        return iterates(f, m_cap)
+
+    monkeypatch.setattr(preperiodic, "_iterates", spy)
+    res = survey_average_prep(SurveyConfig(d=2, X=2, samples=60, seed=0))
+    sharing = [(r.f, r.g) for r in res.rows if r.shared_count]
+    assert sharing and sum(r.case != 1 for r in res.rows) > len(sharing)
+    assert sorted(built) == sorted(h for pair in sharing for h in pair)
+
+
+@pytest.mark.parametrize("d, X, samples, m_cap, n_cap", [(6, 5, 200, 2, 1), (2, 2, 120, 3, 2)])
 def test_survey_prep_blocks_match_one_pair_prep_intersect(d, X, samples, m_cap, n_cap):
+    import arithdyn.survey as survey
     from arithdyn import prep_intersect
 
     res = survey_average_prep(SurveyConfig(d=d, X=X, samples=samples, seed=0, m_cap=m_cap, n_cap=n_cap))
-    assert sum(r.case != 1 for r in res.rows) > 16  # more than one screening block
+    assert sum(r.case != 1 for r in res.rows) > survey._SCREEN_BLOCK  # more than one screening block
     for r in res.rows:
         cert = prep_intersect(
             MonicPoly.from_text(r.f), MonicPoly.from_text(r.g), m_cap, n_cap,
