@@ -466,27 +466,31 @@ def local_pairing(f: MonicPoly, g: MonicPoly, v: PlaceQ) -> PlaceEntry:
         raise ValueError("local_pairing is for finite places; use arch_pairing")
     if f.d != g.d:
         raise ValueError("pairing formulas require equal degrees")
-    p = v.p
+    return _place_entry(f, g, v.p)
+
+
+def _place_entry(f: MonicPoly, g: MonicPoly, p: int) -> PlaceEntry:
+    """local_pairing at the prime p, read off the two place tables."""
     large = len(f._large(p)) + len(g._large(p))
-    bound = LogValue.of_prime(p, Fraction(f._m_exp(p) + g._m_exp(p), f.d))
     if large == 0:
-        return PlaceEntry(str(v), "exact", "trivial", 0.0, 0.0, LogValue.zero())
+        return PlaceEntry(str(p), "exact", "trivial", 0.0, 0.0, LogValue.zero())
+    q = Fraction(f._m_exp(p) + g._m_exp(p), f.d)
+    x = float(q) * math.log(p)
     if large == 1:
-        x = float(bound)
-        return PlaceEntry(str(v), "exact", "good-assoc", x, x, bound)
-    return PlaceEntry(str(v), "interval", "bad", 0.0, float(bound), None)
+        return PlaceEntry(str(p), "exact", "good-assoc", x, x, LogValue({p: q}))
+    return PlaceEntry(str(p), "interval", "bad", 0.0, x, None)
 
 
 def _finite_entries(f: MonicPoly, g: MonicPoly) -> Tuple[List[PlaceEntry], LogValue]:
-    entries = []
-    exact_sum = LogValue.zero()
-    primes = sorted(set(f.denominator_primes()) | set(g.denominator_primes()))
-    for p in primes:
-        e = local_pairing(f, g, PlaceQ.finite(p))
+    """The entries of the primes in either place table, increasing, and the
+    sum of their exact (good-assoc) values."""
+    entries, exact = [], {}
+    for p in sorted(f._places.keys() | g._places.keys()):
+        e = _place_entry(f, g, p)
         entries.append(e)
-        if e.tag == "exact" and e.exact is not None:
-            exact_sum = exact_sum + e.exact
-    return entries, exact_sum
+        if e.exact is not None:
+            exact[p] = e.exact.coeff(p)
+    return entries, LogValue(exact)
 
 
 def _pairing_report(

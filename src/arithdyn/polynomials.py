@@ -255,10 +255,7 @@ def _arch_profile(f: MonicPoly) -> LocalProfile:
 
 def height(f: MonicPoly) -> LogValue:
     """h(f) = sum_v log max(1, |a_{d-1}|_v, ..., |a_0|_v), exact."""
-    total = LogValue.zero()
-    for p in f._places:
-        total = total + LogValue.of_prime(p, f._m_exp(p))
-    return total + f._arch.M
+    return LogValue({p: f._m_exp(p) for p in f._places}) + f._arch.M
 
 
 def _eps_fraction(eps) -> Fraction:

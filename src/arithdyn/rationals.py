@@ -112,7 +112,10 @@ def factorize(n: int) -> "Factorization":
             n //= f
         f += incr[i]
         i = (i + 1) % 8
-    if n > 1:
+    if 1 < n < f * f:
+        # Trial division has passed sqrt(n), so n is prime.
+        pairs[n] = 1
+    elif n > 1:
         rng = random.Random(0xC0FFEE ^ n)
         stack = [n]
         while stack:
@@ -223,9 +226,10 @@ class LogValue:
         c = {}
         if coeffs:
             for p, q in coeffs.items():
-                q = Fraction(q)
-                if q != 0:
-                    c[int(p)] = q
+                if type(q) is not Fraction:
+                    q = Fraction(q)
+                if q:
+                    c[p if type(p) is int else int(p)] = q
         self._c = c
 
     @classmethod
@@ -264,10 +268,19 @@ class LogValue:
         return float(sum(float(q) * math.log(p) for p, q in self._c.items()))
 
     def __add__(self, other: "LogValue") -> "LogValue":
+        # Both operands hold nonzero Fractions only: drop cancelled entries
+        # and skip the normalising pass of __init__.
         c = dict(self._c)
         for p, q in other._c.items():
-            c[p] = c.get(p, Fraction(0)) + q
-        return LogValue(c)
+            if p in c:
+                q = c[p] + q
+                if not q:
+                    del c[p]
+                    continue
+            c[p] = q
+        out = LogValue.__new__(LogValue)
+        out._c = c
+        return out
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return self + (-other)

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from arithdyn import archimedean, heights
 from arithdyn import (
@@ -207,6 +208,31 @@ def test_global_pairing_ordinary_exact_lower(rng):
         arch = (local_profile(f, PlaceQ.arch()).M + local_profile(g, PlaceQ.arch()).M) * F(1, d)
         total = (height(f) + height(g)) * F(1, d)
         assert rep.finite_exact == total - bad_mass - arch
+
+
+_coeff = st.builds(F, st.integers(-30, 30), st.integers(1, 30))
+_pairs_of_one_degree = st.integers(2, 6).flatmap(
+    lambda d: st.tuples(*[st.lists(_coeff, min_size=d, max_size=d).map(lambda cs: MonicPoly(tuple(cs)))] * 2)
+)
+
+
+@settings(deadline=None)
+@given(_pairs_of_one_degree)
+def test_pairing_bounds_identities(pair):
+    # Every prime of either place table gives one entry, good-assoc or bad as
+    # classify_places says; the endpoints are the exact good-place sum and the
+    # height bound (h(f) + h(g))/d + 2.
+    f, g = pair
+    assume(f != g)
+    rep = pairing_bounds(f, g)
+    assert rep.total_lo == pytest.approx(float(rep.finite_exact), rel=1e-12, abs=0)
+    mean_height = (float(height(f)) + float(height(g))) / f.d
+    assert rep.total_hi == pytest.approx(mean_height + 2, rel=1e-12, abs=0)
+    prof = classify_places(f, g)
+    places = lambda kind: [int(e.place) for e in rep.entries if e.provenance == kind]
+    assert places("good-assoc") == sorted(prof.assoc)
+    assert places("bad") == list(prof.bad)
+    assert len(rep.entries) == len(prof.assoc) + len(prof.bad) + 1
 
 
 def test_pairing_triangle_inequality(rng):

@@ -4,6 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from arithdyn import (
     Factorization,
@@ -81,6 +82,25 @@ def test_factorize_pollard_rho_path():
     fac = factorize(p * q)
     assert fac.pairs == ((p, 1), (q, 1))
     assert fac.value() == p * q
+
+
+def test_factorize_records_a_prime_cofactor_without_seeding_an_rng(monkeypatch):
+    import arithdyn.rationals as rationals
+
+    seeds = []
+    random_cls = rationals.random.Random
+
+    def spy(seed):
+        seeds.append(seed)
+        return random_cls(seed)
+
+    monkeypatch.setattr(rationals.random, "Random", spy)
+    assert factorize(2 * 1009).pairs == ((2, 1), (1009, 1))
+    assert factorize(7 * 999983).pairs == ((7, 1), (999983, 1))
+    assert factorize(1000003).pairs == ((1000003, 1),)
+    assert seeds == []
+    assert factorize(1000003 * 1000033).pairs == ((1000003, 1), (1000033, 1))
+    assert len(seeds) == 1
 
 
 def test_factorization_invariants():
@@ -170,3 +190,42 @@ def test_ord_p():
     assert ord_p(F(5, 8), 2) == -3
     with pytest.raises(ValueError):
         ord_p(F(0), 3)
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_coeff_dicts = st.dictionaries(st.sampled_from((2, 3, 5, 7, 11)), _fractions, max_size=5)
+
+
+@st.composite
+def _cancelling_pairs(draw):
+    """Two coefficient dicts, the second negating some of the first's entries."""
+    a, b = draw(_coeff_dicts), draw(_coeff_dicts)
+    for p in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else ():
+        b[p] = -a[p]
+    return a, b
+
+
+def _plain_sum(*terms):
+    """sum of k * coeffs over (k, coeffs) terms in a plain dict, zeros dropped."""
+    out = {}
+    for k, coeffs in terms:
+        for p, q in coeffs.items():
+            out[p] = out.get(p, F(0)) + k * q
+    return {p: q for p, q in out.items() if q != 0}
+
+
+@given(_cancelling_pairs(), _fractions)
+def test_logvalue_arithmetic_matches_a_plain_dict_sum(pair, k):
+    a_c, b_c = pair
+    a, b = LogValue(a_c), LogValue(b_c)
+    for got, want in (
+        (a + b, _plain_sum((1, a_c), (1, b_c))),
+        (a - b, _plain_sum((1, a_c), (-1, b_c))),
+        (-a, _plain_sum((-1, a_c))),
+        (a * k, _plain_sum((k, a_c))),
+    ):
+        assert got.coeffs == want
+        assert all(type(q) is F and q != 0 for q in got.coeffs.values())
+    zero = a + (-a)
+    assert zero.is_zero() and zero == LogValue.zero()
+    assert hash(zero) == hash(LogValue.zero())

@@ -290,3 +290,64 @@ def test_survey_prep_blocks_match_one_pair_prep_intersect(d, X, samples, m_cap, 
         assert (r.shared_count, r.inconclusive) == (
             cert.matched_clusters, cert.verdict == "inconclusive"
         ), r
+
+
+# (case, shared_count, ordinary, pairing_lo, pairing_hi, hf, hg) of survey_average_prep
+# rows, floats as float.hex: any change to the row arithmetic or its
+# summation order shows here.
+_PINNED_ROWS = {
+    (3, 50): [
+        (1, 0, False, '0x1.605380da3f4d2p+1', '0x1.a29bd6c6c0340p+2', '0x1.71c50e3ff9953p+2', '0x1.f60e76144706fp+2'),
+        (1, 0, False, '0x1.2e3e049a4d69bp+2', '0x1.dfe40eaa7c3d4p+2', '0x1.91d34b8601c50p+2', '0x1.46ec703cb9798p+3'),
+        (1, 0, False, '0x0.0p+0', '0x1.924fff2721106p+2', '0x1.8b1f4fc030845p+2', '0x1.abd0adb532acfp+2'),
+        (1, 0, False, '0x1.62e1852fa2bb5p+1', '0x1.efa85d6d191a6p+2', '0x1.caa41a0a55dc1p+2', '0x1.422a7f1e7ab99p+3'),
+        (1, 0, False, '0x1.55f5877a3fe98p+0', '0x1.c04ccc835d048p+2', '0x1.83eee9003a292p+2', '0x1.1e7bbe44ee724p+3'),
+        (1, 0, False, '0x1.06b2dfd0072eep+2', '0x1.e8124d1ada9eap+2', '0x1.cb79c8223ba5cp+2', '0x1.365e8f972a1b2p+3'),
+        (1, 0, False, '0x1.4c1a1c976e6e4p-1', '0x1.bf7b4ffdda822p+2', '0x1.7ba9e7b7fc538p+2', '0x1.21640420c9997p+3'),
+        (1, 0, False, '0x1.6526e825f2e56p+2', '0x1.f528936671e6cp+2', '0x1.bf14c16b15253p+2', '0x1.50327c642047ap+3'),
+        (1, 0, False, '0x1.be52be82866c6p+1', '0x1.ff2333074ba42p+2', '0x1.c5fa576559b1ap+2', '0x1.5bb7a0d8449d7p+3'),
+        (1, 0, False, '0x1.0ec7555030454p+2', '0x1.c7b26a6601f3dp+2', '0x1.6eb9f470ac0b8p+2', '0x1.342ea560ace81p+3'),
+        (1, 0, False, '0x1.bd7869c21098ep+0', '0x1.e204d24847616p+2', '0x1.72f29c3550ef1p+2', '0x1.598ded51c29a9p+3'),
+        (1, 0, False, '0x1.643c7a9603216p+2', '0x1.faeb0669014cbp+2', '0x1.be9b0dd0462eep+2', '0x1.591302b55edbcp+3'),
+        (1, 0, False, '0x1.e03d7f8bb8c02p+1', '0x1.c53ee41e2a170p+2', '0x1.25701b6f87469p+2', '0x1.552648757b7f6p+3'),
+        (1, 0, False, '0x1.7740988d32f22p+1', '0x1.cc7522b8bc05ap+2', '0x1.d4c4719e4ba06p+2', '0x1.084d7b45f4385p+3'),
+        (1, 0, False, '0x1.1b87c8f214e4ep+2', '0x1.066aea433ed04p+3', '0x1.d9f3a4150723ep+2', '0x1.6646ecbf38df0p+3'),
+        (1, 0, False, '0x1.3d4db19aef0a4p+2', '0x1.d3cad0d7a0934p+2', '0x1.3785af37370b3p+2', '0x1.61ed61a7d5575p+3'),
+        (1, 0, False, '0x1.c60ff53dac5a8p+1', '0x1.bd2c26001a283p+2', '0x1.67b4a5d52a936p+2', '0x1.27e7e61591f2ap+3'),
+        (1, 0, False, '0x1.993da49fef465p-1', '0x1.84e77d131b165p+2', '0x1.824553ea13c7ap+2', '0x1.8c71234f3d7b6p+2'),
+        (1, 0, False, '0x1.66af35e23d361p+2', '0x1.f3e54a58e94a2p+2', '0x1.b071948c467d1p+2', '0x1.559f253f3ab0bp+3'),
+        (1, 0, False, '0x1.72abe09baeda4p+0', '0x1.81d6cebdef9e4p+2', '0x1.de6bf542e3d2cp+1', '0x1.0b2738cc2e78dp+3'),
+    ],
+    (6, 5): [
+        (1, 0, False, '0x1.12ad6a54908ccp-2', '0x1.c23d547a22b0cp+1', '0x1.0609bdc65328bp+2', '0x1.40ae3fa814e9ap+2'),
+        (2, 0, False, '0x1.12ad6a54908ccp-2', '0x1.927e9c94b6fd6p+1', '0x1.326643c4479c9p+2', '0x1.0a2b23f3bab73p+1'),
+        (3, 0, False, '0x0.0p+0', '0x1.d4ea8e7c6f9b2p+1', '0x1.326643c4479c9p+2', '0x1.4c5967b10734ep+2'),
+        (1, 0, False, '0x1.76fe34e3c040ep-3', '0x1.be599c7727426p+1', '0x1.9c041f7ed8d33p+1', '0x1.6d0ac5a6095d8p+2'),
+        (2, 0, False, '0x1.ce2c84c670ad3p-2', '0x1.a60ac7dff7930p+1', '0x1.d82d33b32720cp+1', '0x1.0609bdc65328bp+2'),
+        (2, 0, False, '0x0.0p+0', '0x1.aacd712be6accp+1', '0x1.d82d33b32720cp+1', '0x1.1451b9aa2075cp+2'),
+        (2, 0, False, '0x1.ce2c84c670ad3p-2', '0x1.9fe7a72f909f2p+1', '0x1.71f7b3a6b9187p+1', '0x1.26bb1bbb55515p+2'),
+        (1, 0, False, '0x1.d9303fea2f7e9p-3', '0x1.9c03ef2c9530cp+1', '0x1.5aa16394d481fp+1', '0x1.26bb1bbb55515p+2'),
+        (2, 0, False, '0x1.12ad6a54908ccp-2', '0x1.9fe7a72f909f3p+1', '0x1.1451b9aa2075cp+2', '0x1.96ca77c922cf8p+1'),
+        (1, 0, False, '0x1.12ad6a54908ccp-2', '0x1.a3cb5f328c0d9p+1', '0x1.1ffce1b312c10p+2', '0x1.96ca77c922cf8p+1'),
+        (1, 0, False, '0x0.0p+0', '0x1.dfd05878c5a8bp+1', '0x1.5ec2c9c23c107p+2', '0x1.40ae3fa814e9ap+2'),
+        (3, 0, False, '0x0.0p+0', '0x1.b4d449df490f0p+1', '0x1.0609bdc65328bp+2', '0x1.18731fd788044p+2'),
+        (3, 0, False, '0x0.0p+0', '0x1.bd7aab2e33972p+1', '0x1.18731fd788044p+2', '0x1.1ffce1b312c10p+2'),
+        (1, 0, False, '0x0.0p+0', '0x1.dfd05878c5a8bp+1', '0x1.326643c4479c9p+2', '0x1.6d0ac5a6095d8p+2'),
+        (3, 0, False, '0x0.0p+0', '0x1.d106d679742ccp+1', '0x1.26bb1bbb55515p+2', '0x1.4c5967b10734ep+2'),
+        (3, 0, False, '0x0.0p+0', '0x1.bc1a33c9bbbcep+1', '0x1.e740b76a3c9a4p+1', '0x1.40ae3fa814e9ap+2'),
+        (3, 0, False, '0x0.0p+0', '0x1.8dbbf348c7e3bp+1', '0x1.62e42fefa39efp+1', '0x1.ef8383c50bb74p+1'),
+        (3, 0, False, '0x0.0p+0', '0x1.bc1a33c9bbbcep+1', '0x1.1451b9aa2075cp+2', '0x1.1ffce1b312c10p+2'),
+        (2, 0, False, '0x0.0p+0', '0x1.b996f32b3828bp+1', '0x1.6d0ac5a6095d8p+2', '0x1.7f7427b73e391p+1'),
+        (1, 0, False, '0x0.0p+0', '0x1.903f33e74b780p+1', '0x1.71f7b3a6b9187p+1', '0x1.ef8383c50bb74p+1'),
+    ],
+}
+
+
+@pytest.mark.parametrize("d, X", sorted(_PINNED_ROWS))
+def test_survey_rows_are_pinned_bit_for_bit(d, X):
+    res = survey_average_prep(SurveyConfig(d=d, X=X, samples=20, seed=5, m_cap=2, n_cap=1))
+    got = [
+        (r.case, r.shared_count, r.ordinary, r.pairing_lo.hex(), r.pairing_hi.hex(), r.hf.hex(), r.hg.hex())
+        for r in res.rows
+    ]
+    assert got == _PINNED_ROWS[(d, X)]
