@@ -49,126 +49,44 @@ class DegreeCapExceeded(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _PrecisionExhausted(Exception):
-    pass
-
-
-class _Padic:
-    """p^ord * (unit + O(p^prec)) with p not dividing unit; None means exact 0."""
-
-    __slots__ = ("ord", "unit", "prec")
-
-    def __init__(self, ordv: int, unit: int, prec: int):
-        self.ord = ordv
-        self.unit = unit
-        self.prec = prec
-
-
-def _padic_from_fraction(x: Fraction, p: int, K: int) -> Optional[_Padic]:
-    if x == 0:
-        return None
-    e = ord_p(x, p)
-    num, den = x.numerator, x.denominator
-    if e >= 0:
-        num //= p**e
-    else:
-        den //= p ** (-e)
-    mod = p**K
-    u = num % mod * pow(den % mod, -1, mod) % mod
-    return _Padic(e, u, K)
-
-
-def _padic_mul(a: Optional[_Padic], b: Optional[_Padic], p: int) -> Optional[_Padic]:
-    if a is None or b is None:
-        return None
-    prec = min(a.prec, b.prec)
-    if prec <= 0:
-        raise _PrecisionExhausted
-    return _Padic(a.ord + b.ord, a.unit * b.unit % p**prec, prec)
-
-
-def _padic_pow(a: Optional[_Padic], k: int, p: int) -> Optional[_Padic]:
-    if a is None:
-        return None
-    return _Padic(a.ord * k, pow(a.unit, k, p**a.prec), a.prec)
-
-
-def _padic_sum(terms: List[_Padic], p: int) -> Optional[_Padic]:
-    terms = [t for t in terms if t is not None]
-    if not terms:
-        return None
-    m = min(t.ord for t in terms)
-    q = min(t.ord - m + t.prec for t in terms)
-    if q <= 0:
-        raise _PrecisionExhausted
-    mod = p**q
-    s = 0
-    for t in terms:
-        s = (s + t.unit * pow(p, t.ord - m, mod)) % mod
-    if s == 0:
-        # Either an exact zero or a cancellation beyond working precision;
-        # the caller restarts at higher precision (exact zeros are caught by
-        # the exact-rational shadow while it is alive).
-        raise _PrecisionExhausted
-    c = 0
-    while s % p == 0:
-        s //= p
-        c += 1
-    if q - c <= 0:
-        raise _PrecisionExhausted
-    return _Padic(m + c, s % p ** (q - c), q - c)
-
-
-_EXACT_BIT_BUDGET = 1 << 15
 _DEPTH_CAP = 64
 
 
 def _green_finite(f: MonicPoly, p: int, x: Fraction, cap: int = _DEPTH_CAP) -> Fraction:
     """G_{f,p}(x) as an exact multiple of log p.
 
-    Explicit good reduction gives log^+ |x|_p directly.  Otherwise iterate
-    v-adically: once |z|_p exceeds the R bound the escape is exact and
-    G = d^-n log|z_n|_p; orbits still inside the bound at the depth cap
-    contribute less than d^-cap times a bounded factor and are reported as 0.
+    With r = log_p R_{f,p} and k = floor(r), an orbit point with
+    ord_p(z) < -r escapes exactly, and G = d^-n (-ord_p z_n); at a good
+    place r = 0 and this is log^+ |x|_p.  Below the bound z = u p^-k with u
+    a p-adic integer, and f(z) = W(u) p^-(kd+M) for the integer polynomial
+    W with coefficients a_i p^(k(d-i)+M) and leading p^M, M >= 0 the least
+    exponent clearing their denominators.  A step that does not escape has
+    ord_p W(u) >= s = k(d-1)+M and divides W(u) by p^s, so u modulo
+    p^(cap s) decides every step up to the depth cap exactly.  Orbits still
+    inside the bound at the cap contribute less than d^-cap times a bounded
+    factor and are reported as 0.
     """
+    r = f._r_exp(p)
+    if x != 0 and ord_p(x, p) < -r:
+        return Fraction(-ord_p(x, p))
     if f.explicit_good_at(p):
-        return Fraction(max(0, -ord_p(x, p))) if x != 0 else Fraction(0)
-    K = 96
-    while True:
-        try:
-            return _green_finite_attempt(f, p, x, f._r_exp(p), cap, K)
-        except _PrecisionExhausted:
-            K *= 2
-            if K > 1 << 16:
-                raise ArithmeticError(
-                    f"p-adic precision exhausted at p={p} for x={x}; "
-                    "orbit cancels beyond 2^16 digits"
-                )
-
-
-def _green_finite_attempt(f, p, x, r_exp: Fraction, cap: int, K: int) -> Fraction:
-    d = f.d
-    exact: Optional[Fraction] = Fraction(x)
-    z: Optional[_Padic] = _padic_from_fraction(exact, p, K)
-    nonzero = [(i, c) for i, c in enumerate(f.coeffs) if c != 0]
-    coeff_p = {i: _padic_from_fraction(c, p, K) for i, c in nonzero}
+        return Fraction(0)
+    d, k = f.d, math.floor(r)
+    M = max([0] + [m - k * (d - i) for i, m in f._large(p)])
+    ps = p ** (k * (d - 1) + M)
+    mod = ps**cap
+    W = [c * p ** (k * (d - i) + M) for i, c in enumerate(f.coeffs)]
+    W = [c.numerator * pow(c.denominator, -1, mod) % mod for c in W] + [p**M]
+    u = x * p**k
+    u = u.numerator * pow(u.denominator, -1, mod) % mod
     for n in range(1, cap + 1):
-        if exact is not None:
-            # Exact rational shadow: no precision management needed, and exact
-            # orbit zeros are handled for free.
-            exact = f.eval_exact(exact)
-            z = _padic_from_fraction(exact, p, K)
-            if exact.numerator.bit_length() + exact.denominator.bit_length() > _EXACT_BIT_BUDGET:
-                exact = None
-        else:
-            if z is None:
-                raise ArithmeticError("lost track of exact zero orbit")
-            terms = [_padic_pow(z, d, p)]
-            for i, _ in nonzero:
-                terms.append(_padic_mul(coeff_p[i], _padic_pow(z, i, p), p))
-            z = _padic_sum(terms, p)
-        if z is not None and Fraction(-z.ord) > r_exp:
-            return Fraction(-z.ord, d**n)
+        w = 0
+        for c in reversed(W):
+            w = (w * u + c) % mod
+        if w % ps:
+            return Fraction(k * d + M - ord_p(w, p), d**n)
+        mod //= ps
+        u = w // ps
     return Fraction(0)
 
 
@@ -186,15 +104,11 @@ def canonical_height(f: MonicPoly, x: Rat, tol: float = 1e-12) -> CanonicalHeigh
     """h-hat_f(x) = sum_v G_{f,v}(x): exact at finite places, numeric at infinity."""
     x = Fraction(x)
     finite = LogValue.zero()
-    bad = set(f.denominator_primes())
-    for p in sorted(bad):
+    bad = f.denominator_primes()
+    for p in bad + tuple(p for p in factorize(x.denominator).primes if p not in bad):
         q = _green_finite(f, p, x)
         if q:
             finite = finite + LogValue.of_prime(p, q)
-    if x != 0:
-        for p in factorize(x.denominator).primes:
-            if p not in bad:
-                finite = finite + LogValue.of_prime(p, -ord_p(x, p))
     arch = green_arch(f, complex(x), tol)
     return CanonicalHeight(value=float(finite) + arch, finite=finite, arch=arch, tol=tol)
 

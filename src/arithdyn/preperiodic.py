@@ -31,8 +31,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .archimedean import _arch_params
 from .nonarchimedean import julia_shells, shells_certify_disjoint
-from .polynomials import MonicPoly, local_profile
+from .polynomials import MonicPoly
 from .rationals import PlaceQ, factorize, is_prime
 
 __all__ = [
@@ -180,7 +181,7 @@ def is_rational_preperiodic(f: MonicPoly, x: Fraction, _cache: Optional[dict] = 
     """
     x = Fraction(x)
     D = _denominator_bound(f)
-    R = math.exp(float(local_profile(f, PlaceQ.arch()).R)) + 1e-9
+    R = _arch_params(f) + 1e-9
     seen: Dict[Fraction, None] = {}
     z = x
     trail = []
@@ -216,7 +217,7 @@ def rational_prep(f: MonicPoly, height_cap: Optional[int] = None) -> List[Fracti
     D = _denominator_bound(f)
     if height_cap is None and D > 10**6:
         raise CapExceeded("denominator bound too large; pass height_cap")
-    R = math.exp(float(local_profile(f, PlaceQ.arch()).R))
+    R = _arch_params(f)
     out: List[Fraction] = []
     cache: dict = {}
     divisors = [b for b in _divisors(D) if height_cap is None or b <= height_cap]

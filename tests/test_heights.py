@@ -28,6 +28,7 @@ from arithdyn import (
     weil_height,
 )
 from arithdyn.heights import DegreeCapExceeded
+from arithdyn.rationals import ord_p
 
 CHEB = MonicPoly.from_text("z^2-2")
 
@@ -89,22 +90,57 @@ def test_canonical_height_matches_defining_limit(rng):
         assert abs(got - hn * d ** (-n)) <= bound + 1e-9, (f.to_text(), x)
 
 
-def test_green_finite_padic_path_differential(rng, monkeypatch):
-    # Force the exact-rational shadow off so every step runs through the
-    # capped-precision p-adic arithmetic; results must match the default path.
-    import arithdyn.heights as hh
+def _green_finite_walk(f, p, x, cap):
+    # Exact Fraction orbit: -ord_p(z_n)/d^n at the first n <= cap with
+    # -ord_p(z_n) > r, else 0.
+    r = f._r_exp(p)
+    z = x
+    for n in range(cap + 1):
+        if z != 0 and -ord_p(z, p) > r:
+            return F(-ord_p(z, p), f.d**n)
+        z = f.eval_exact(z)
+    return F(0)
 
+
+def test_green_finite_matches_exact_orbit_walk(rng):
     cases = []
     for _ in range(40):
         d = int(rng.integers(2, 4))
-        f = sample(d, 6, rng)
-        x = sample_rational(6, rng)
-        want = {p: hh._green_finite(f, p, x) for p in f.denominator_primes()}
-        cases.append((f, x, want))
-    monkeypatch.setattr(hh, "_EXACT_BIT_BUDGET", 8)
-    for f, x, want in cases:
-        for p, q in want.items():
-            assert hh._green_finite(f, p, x) == q, (f.to_text(), x, p)
+        cases.append((sample(d, 6, rng), sample_rational(6, rng)))
+    # Fractional r, a deep denominator at each index (M > 0 when r is not an
+    # integer), escapes at step 0 and the point 0.
+    for d in (2, 3, 6):
+        for i in range(d):
+            cs = [F(0)] * d
+            cs[i] = F(1, 2**11)
+            for x in (F(0), F(1, 2), F(3, 32), F(1, 1024)):
+                cases.append((MonicPoly(tuple(cs)), x))
+    for f, x in cases:
+        for p in f.denominator_primes():
+            for cap in (1, 2, 6):
+                got = heights._green_finite(f, p, x, cap=cap)
+                assert got == _green_finite_walk(f, p, x, cap), (f.to_text(), x, p, cap)
+
+
+# Rationals of height <= 12 whose denominators are powers of 2, 3 or 5.
+_P_POWER = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 4, 8, 3, 9, 5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    coeffs=st.lists(_P_POWER, min_size=5, max_size=5),
+    x=_P_POWER,
+    p=st.sampled_from([2, 3, 5]),
+)
+def test_green_finite_properties(d, coeffs, x, p):
+    f = MonicPoly(tuple(coeffs[:d]))
+    g = heights._green_finite(f, p, x)
+    assert g >= 0
+    if x != 0 and -ord_p(x, p) > f._r_exp(p):
+        assert g == -ord_p(x, p)
+    if g != 0:
+        assert heights._green_finite(f, p, f.eval_exact(x)) == d * g
 
 
 def test_canonical_height_nonnegative(rng):
