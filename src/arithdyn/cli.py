@@ -39,13 +39,15 @@ def _emit(obj: dict) -> None:
 
 
 def _parse_slice(text: str) -> SliceSpec:
+    """The --slice type, 'i=v,...': argparse turns a malformed one into a usage error."""
     fixed = {}
-    for part in text.split(","):
-        if not part:
-            continue
-        k, v = part.split("=")
-        fixed[int(k)] = Fraction(v)
-    return SliceSpec(fixed)
+    try:
+        for part in filter(None, text.split(",")):
+            k, v = part.split("=")
+            fixed[int(k)] = Fraction(v)
+        return SliceSpec(fixed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"malformed slice {text!r}: {exc}") from exc
 
 
 def _poly_arg(text: str) -> MonicPoly:
@@ -103,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m-cap", type=int, default=2)
     p.add_argument("--n-cap", type=int, default=1)
-    p.add_argument("--slice", type=str, default=None, help="fixed coords, e.g. '2=0,1=1/2'")
+    p.add_argument("--slice", type=_parse_slice, default=None, help="fixed coords, e.g. '2=0,1=1/2'")
     p.add_argument("--out", type=str, default=None, help="CSV output path (prep survey)")
 
     p = sub.add_parser("robin", help="Robin constant of the upper-bound adelic set")
@@ -165,7 +167,7 @@ def _run(args) -> int:
                 samples=args.samples,
                 eps=float(Fraction(args.eps)),
                 seed=args.seed,
-                slice=_parse_slice(args.slice) if args.slice else None,
+                slice=args.slice,
                 m_cap=args.m_cap,
                 n_cap=args.n_cap,
                 out=args.out,

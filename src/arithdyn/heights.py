@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .archimedean import arch_pairing, green_arch, holder_constants
 from .polynomials import MonicPoly, height, local_profile
@@ -156,57 +156,6 @@ class AlgebraicPoint:
         return cls((-x.numerator, x.denominator))
 
 
-def _poly_mul_mod(a: List[Fraction], b: List[Fraction], m: Sequence[int]) -> List[Fraction]:
-    D = len(m) - 1
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    lc = Fraction(m[-1])
-    while len(out) > D:
-        top = out.pop()
-        if top == 0:
-            continue
-        fac = top / lc
-        for k in range(D):
-            out[len(out) - D + k] -= fac * m[k]
-    while len(out) < D:
-        out.append(Fraction(0))
-    return out
-
-
-def _poly_f_of(f: MonicPoly, t: List[Fraction], m: Sequence[int]) -> List[Fraction]:
-    acc = [Fraction(1)] + [Fraction(0)] * (len(m) - 2)
-    acc = acc[: len(m) - 1]
-    res = _poly_mul_mod(acc, t, m)
-    for i in range(f.d - 1, -1, -1):
-        res[0] += f.coeffs[i]
-        if i > 0:
-            res = _poly_mul_mod(res, t, m)
-    return res
-
-
-def _charpoly(mat: List[List[Fraction]]) -> List[Fraction]:
-    """Faddeev-LeVerrier: monic characteristic polynomial, ascending coeffs."""
-    D = len(mat)
-    M = [[Fraction(0)] * D for _ in range(D)]
-    cs = [Fraction(0)] * (D + 1)
-    cs[D] = Fraction(1)
-    c = Fraction(1)
-    for k in range(1, D + 1):
-        # M <- A M + c I ; then c <- -tr(A M)/k
-        AM = [[sum(mat[i][l] * M[l][j] for l in range(D)) for j in range(D)] for i in range(D)]
-        for i in range(D):
-            AM[i][i] += c
-        M = AM
-        tr = sum(sum(mat[i][l] * M[l][i] for l in range(D)) for i in range(D))
-        c = -tr / k
-        cs[D - k] = c
-    return cs
-
-
 @dataclass(frozen=True)
 class AlgHeight:
     value: float
@@ -218,55 +167,48 @@ class AlgHeight:
 def canonical_height_alg(
     f: MonicPoly, x: AlgebraicPoint, n: int, degree_cap: int = 5000
 ) -> AlgHeight:
-    """d^-n h(f^n(x)) with an explicit error bound, by elimination in Q[y]/(m).
+    """d^-n h(f^n(x)) with an explicit error bound.
 
-    Orbits whose reduced iterates repeat are preperiodic and return exactly 0.
-    The error bound uses the standard |h(f(y)) - d h(y)| <= C(f) estimate with
-    C(f) computed from the coefficients.
+    t = f^n(y) is iterated in Q[y]/(m) as a sympy Poly over QQ; orbits whose
+    reduced iterates repeat are preperiodic and return exactly 0.  The
+    characteristic polynomial of multiplication by t is the minimal
+    polynomial of f^n(x) to the power D/deg f^n(x), so its primitive integer
+    form has leading coefficient `lead` and roots f^n at the embeddings of x,
+    and h(f^n(x)) = (1/D) log M of it.  The error bound uses the standard
+    |h(f(y)) - d h(y)| <= C(f) estimate with C(f) computed from the
+    coefficients.
     """
+    from sympy import QQ, Poly, symbols
+    from sympy.polys.matrices import DomainMatrix
+
     if n < 1:
         raise ValueError("depth must be >= 1")
     D = x.degree
     if f.d**n * D > degree_cap:
         raise DegreeCapExceeded(f"d^n * deg(x) = {f.d ** n * D} > {degree_cap}")
     m = x.min_poly
-    t: List[Fraction] = [Fraction(0)] * D
-    if D == 1:
-        t = [Fraction(-m[0], m[1])]
-    else:
-        t[1] = Fraction(1)
-    seen = {tuple(t): 0}
+    y = Poly(symbols("y"), domain=QQ)
+    mp = Poly(m[::-1], *y.gens, domain=QQ)
+    F = Poly((1,) + f.coeffs[::-1], *y.gens, domain=QQ)
+    t = y.rem(mp)
+    seen = {t}
     hf = float(height(f))
     C0 = f.d * (hf + math.log(4.0)) + math.log(2.0 * (f.d + 1))
     err_at = lambda k: C0 * f.d ** (-k) / (f.d - 1)
     for step in range(1, n + 1):
-        t = _poly_f_of(f, t, m)
-        key = tuple(t)
-        if key in seen:
+        t = F.compose(t).rem(mp)
+        if t in seen:
             return AlgHeight(value=0.0, err=0.0, depth=step, exact_zero=True)
-        seen[key] = step
-    # characteristic polynomial of multiplication by t on Q[y]/(m)
-    if D == 1:
-        val = t[0]
-        h = math.log(max(abs(val.numerator), val.denominator)) if val != 0 else 0.0
-        return AlgHeight(value=h * f.d ** (-n), err=err_at(n), depth=n)
-    basis = [Fraction(0)] * D
-    basis[0] = Fraction(1)
-    cols = []
-    cur = basis
-    for i in range(D):
-        cols.append(_poly_mul_mod(t, cur, m))
-        cur = _poly_mul_mod(cur, [Fraction(0), Fraction(1)], m)
-    mat = [[cols[j][i] for j in range(D)] for i in range(D)]
-    cp = _charpoly(mat)
-    lcm_den = 1
-    for c in cp:
-        lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in cp]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    lead = lcm_den // content  # leading coefficient of the primitive integer poly
+        seen.add(t)
+    # multiplication by t on Q[y]/(m): column i is t y^i mod m
+    cols, cur = [], t
+    for _ in range(D):
+        c = cur.all_coeffs()[::-1]
+        cols.append(c + [QQ(0)] * (D - len(c)))
+        cur = (cur * y).rem(mp)
+    cp = DomainMatrix([list(row) for row in zip(*cols)], (D, D), QQ).charpoly()
+    den = math.lcm(*(int(c.denominator) for c in cp))
+    lead = den // math.gcd(*(int(c.numerator) * (den // int(c.denominator)) for c in cp))
     # Root moduli: the characteristic polynomial's roots are exactly f^n at the
     # embeddings of x, so iterate f at high precision instead of root-finding
     # on the huge-coefficient polynomial.
@@ -496,17 +438,14 @@ def fudge_min(d: int, j: int, log_aj: Rat) -> Fraction:
 
 
 def _radius_family(f: MonicPoly, N: int) -> Dict[str, float]:
-    """Adelic radius eps_v = (dN)^(-1/alpha_v) at arch/bad places, 1 at good."""
+    """Adelic radius eps_v = (dN)^(-1/alpha_v) at infinity and at the primes
+    of the denominators, each a bad place (it has a large coefficient)."""
     d = f.d
     # alpha = log d / log A, so eps = (dN)^(-1/alpha) = (dN)^(-log A / log d)
     out: Dict[str, float] = {"inf": (d * N) ** (-1.0 / holder_constants(f).alpha)}
     for p in f.denominator_primes():
-        lp = local_profile(f, PlaceQ.finite(p))
-        if lp.reduction == "explicit-good":
-            out[str(p)] = 1.0
-        else:
-            A_v = math.exp(float(lp.R)) ** (d - 1)
-            out[str(p)] = (d * N) ** (-math.log(A_v) / math.log(d))
+        A_v = math.exp(float(local_profile(f, PlaceQ.finite(p)).R)) ** (d - 1)
+        out[str(p)] = (d * N) ** (-math.log(A_v) / math.log(d))
     return out
 
 

@@ -175,40 +175,23 @@ def strata_pullback_simulate(d: int, j: int) -> Tuple[Fraction, Fraction, Fracti
     """Stationary mass vector of the pullback transition on the three strata.
 
     The pullback of a unit mass on stratum i redistributes with the column
-    map (d-j, d-j, d-j; j, 0, 0; 0, j, j)/d; the stationary vector is solved
-    exactly and must reproduce the closed-form masses.
+    map (d-j, d-j, d-j; j, 0, 0; 0, j, j)/d; the stationary vector spans the
+    one-dimensional nullspace of M - I, an exact sympy DomainMatrix over QQ,
+    and normalised to sum 1 it must reproduce the closed-form masses.
     """
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
     if not (1 <= j <= d - 1):
         raise ValueError("need 1 <= j <= d-1")
-    M = [
-        [Fraction(d - j, d), Fraction(d - j, d), Fraction(d - j, d)],
-        [Fraction(j, d), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(j, d), Fraction(j, d)],
-    ]
-    # Solve (M - I) x = 0 with sum(x) = 1 by exact Gaussian elimination on the
-    # 4x3 augmented system.
-    rows = [[M[r][c] - (1 if r == c else 0) for c in range(3)] + [Fraction(0)] for r in range(3)]
-    rows.append([Fraction(1), Fraction(1), Fraction(1), Fraction(1)])
-    # Forward elimination with partial (nonzero) pivoting.
-    pivots = []
-    r = 0
-    for c in range(3):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                fac = rows[i][c]
-                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if r != 3 or any(any(x != 0 for x in row[:3]) or row[3] != 0 for row in rows[3:]):
+    a, b = QQ(d - j, d), QQ(j, d)
+    M = DomainMatrix([[a, a, a], [b, QQ(0), QQ(0)], [QQ(0), b, b]], (3, 3), QQ)
+    kernel = (M - DomainMatrix.eye(3, QQ)).nullspace().to_list()
+    if len(kernel) != 1:
         raise ArithmeticError("stationary system is degenerate")
-    sol = [rows[i][3] for i in range(3)]
-    return (sol[0], sol[1], sol[2])
+    x0, x1, x2 = (Fraction(int(c.numerator), int(c.denominator)) for c in kernel[0])
+    total = x0 + x1 + x2
+    return (x0 / total, x1 / total, x2 / total)
 
 
 def green_nonarch(f: MonicPoly, v: PlaceQ, log_radius: Rat) -> Tuple[Fraction, bool]:

@@ -603,7 +603,6 @@ def prep_intersect(
     m_cap: int = 3,
     n_cap: int = 2,
     use_certificate: bool = True,
-    check_suspected_equal: bool = True,
 ) -> PrepCertificate:
     """Exact common preperiodic points of f and g at caps (m_cap, n_cap): the
     roots of f^m - f^n and g^m' - g^n' for n < m <= m_cap, n <= n_cap.
@@ -615,12 +614,12 @@ def prep_intersect(
     exactly 0 and no tolerance is involved.  An iterate beyond the degree
     budget reports "inconclusive" rather than silently truncating.
 
-    `suspected_equal` (False on "disjoint" or if not `check_suspected_equal`)
-    is true exactly when f o g = g o f, i.e. the maps have the same
-    preperiodic points; it is independent of the caps.  Commuting maps have
-    one Julia set (Julia, Fatou); equal preperiodic points give equal Julia
-    sets (Baker-DeMarco, Duke 2011), so f o g = s o g o f with s a symmetry of
-    J (Beardon 1992), a translation for monic maps and so the identity.
+    `suspected_equal` (False on "disjoint") is true exactly when f o g = g o f,
+    i.e. the maps have the same preperiodic points; it is independent of the
+    caps.  Commuting maps have one Julia set (Julia, Fatou); equal
+    preperiodic points give equal Julia sets (Baker-DeMarco, Duke 2011), so
+    f o g = s o g o f with s a symmetry of J (Beardon 1992), a translation
+    for monic maps and so the identity.
     """
     if f == g:
         raise ValueError("prep_intersect requires f != g")
@@ -631,7 +630,7 @@ def prep_intersect(
         if w is not None:
             return PrepCertificate("disjoint", w.p, (), m_cap, n_cap)
     F, G = _form(f), _form(g)
-    suspected = check_suspected_equal and _compose(F, G) == _compose(G, F)
+    suspected = _compose(F, G) == _compose(G, F)
     (min_polys,) = _shared_points([(f, g)], m_cap, n_cap)
     if isinstance(min_polys, CapExceeded):
         return PrepCertificate("inconclusive", None, (), m_cap, n_cap, suspected_equal=suspected)

@@ -79,6 +79,13 @@ class SurveyConfig:
         _eps_fraction(self.eps)
         if self.m_cap < 1 or self.n_cap < 0:
             raise ValueError("caps must satisfy m_cap >= 1 and n_cap >= 0")
+        for i, c in (self.slice.fixed if self.slice else {}).items():
+            if not 1 <= i <= self.d - 1:
+                raise ValueError(f"slice index {i} outside 1..{self.d - 1}")
+            if i == self.d - 1 and c != 0:
+                raise ValueError("slice fixes a_{d-1} != 0 but f is centered")
+            if max(abs(c.numerator), c.denominator) > self.X:
+                raise ValueError(f"slice value a_{i} = {c} has height > X = {self.X}")
 
 
 def classify_case(f: MonicPoly, g: MonicPoly) -> int:

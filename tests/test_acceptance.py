@@ -227,6 +227,6 @@ def test_criterion_12_disjoint_certificate_soundness():
                 continue
             found += 1
             cert = ad.prep_intersect(
-                f, g, m_cap=2, n_cap=1, use_certificate=False, check_suspected_equal=False
+                f, g, m_cap=2, n_cap=1, use_certificate=False
             )
             assert cert.matched_clusters == 0, (f.to_text(), g.to_text())

@@ -1,5 +1,8 @@
 import csv
 import json
+from fractions import Fraction
+
+import pytest
 
 from arithdyn.cli import main
 
@@ -110,6 +113,37 @@ def test_survey_command_with_csv(capsys, tmp_path):
     )
     assert code == 0
     assert 0 <= json.loads(out)["proportion"] <= 1
+
+
+_SURVEY = ("survey", "--kind", "prep", "--d", "3", "--X", "5", "--samples", "5")
+
+
+def test_survey_command_with_slice(capsys, tmp_path):
+    from arithdyn import MonicPoly
+
+    out_path = tmp_path / "survey.csv"
+    code, _, _ = run_cli(capsys, *_SURVEY, "--slice", "1=1/2", "--out", str(out_path))
+    assert code == 0
+    with open(out_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for r in rows:
+        f, g = MonicPoly.from_text(r["f"]), MonicPoly.from_text(r["g"])
+        assert f.coeffs[1] == g.coeffs[1] == Fraction(1, 2) and f.coeffs[2] == 0
+
+
+@pytest.mark.parametrize("text, code, reason", [
+    ("x", 1, "--slice"),  # malformed: a usage error
+    ("7=1/2", 2, "index 7 outside 1..2"),  # an index the sampler would ignore
+    ("1=1/100", 2, "height > X = 5"),  # a value outside the height box
+])
+def test_survey_slice_is_checked_before_sampling(capsys, monkeypatch, text, code, reason):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the slice was checked")  # exit code 3
+
+    monkeypatch.setattr("arithdyn.survey.sample", no_sampling)
+    got, out, err = run_cli(capsys, *_SURVEY, "--slice", text)
+    assert (got, out) == (code, "") and reason in err
 
 
 def test_robin_command(capsys):

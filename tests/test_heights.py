@@ -28,6 +28,7 @@ from arithdyn import (
     weil_height,
 )
 from arithdyn.heights import DegreeCapExceeded
+from arithdyn.preperiodic import rational_prep
 from arithdyn.rationals import ord_p
 
 CHEB = MonicPoly.from_text("z^2-2")
@@ -175,6 +176,75 @@ def test_alg_height_degree_cap():
     pt = AlgebraicPoint((-2, 0, 0, 1))
     with pytest.raises(DegreeCapExceeded):
         canonical_height_alg(MonicPoly.make(2), pt, 30)
+
+
+_SMALL = st.builds(F, st.integers(-5, 5), st.integers(1, 5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(_SMALL, min_size=2, max_size=3),
+    low=st.lists(st.integers(-5, 5), min_size=2, max_size=3),
+    lead=st.integers(1, 5),
+    n=st.integers(1, 3),
+)
+def test_alg_height_matches_resultant_mahler_measure(coeffs, low, lead, n):
+    # h(f^n(x)) = (1/D) log M(P) for P the primitive integer form of
+    # Res_y(m(y), X - f^n(y)), whose roots are f^n at the D conjugates of x.
+    import mpmath
+    import sympy
+
+    min_poly = low + [lead]
+    assume(min_poly[0] != 0 and math.gcd(*min_poly) == 1)
+    y, X = sympy.symbols("y X")
+    m = sum(c * y**i for i, c in enumerate(min_poly))
+    assume(sympy.Poly(m, y).is_irreducible)
+    f, D = MonicPoly(tuple(coeffs)), len(min_poly) - 1
+    h = canonical_height_alg(f, AlgebraicPoint(tuple(min_poly)), n)
+    assume(not h.exact_zero)
+    fy = y**f.d + sum(sympy.Rational(c.numerator, c.denominator) * y**i for i, c in enumerate(f.coeffs))
+    fn = y
+    for _ in range(n):
+        fn = sympy.expand(fy.subs(y, fn))
+    P = sympy.Poly(sympy.resultant(m, X - fn, y), X).clear_denoms()[1]
+    log_m = mpmath.mpf(0)
+    with mpmath.workdps(200):
+        # M is multiplicative, and the irreducible factors have simple roots
+        for q, k in P.factor_list()[1]:
+            cs = [int(c) for c in q.all_coeffs()]
+            roots = mpmath.polyroots(cs, maxsteps=500, extraprec=400)
+            log_m += k * (mpmath.log(abs(cs[0])) + sum(mpmath.log(max(1, abs(r))) for r in roots))
+    ref = float(log_m) / D / f.d**n
+    assert math.isclose(h.value, ref, rel_tol=1e-12, abs_tol=1e-15), (h.value, ref)
+
+
+def test_alg_height_of_rational_points(rng):
+    for _ in range(20):
+        f = sample(int(rng.integers(2, 4)), 10, rng)
+        x = sample_rational(10, rng)
+        h = canonical_height_alg(f, AlgebraicPoint.from_rational(x), 5)
+        assert abs(h.value - canonical_height(f, x).value) <= h.err
+
+
+def test_alg_height_of_rational_preperiodic_points():
+    n = 4
+    for f in (CHEB, MonicPoly.from_text("z^2-1"), MonicPoly.from_text("z^2-3/4"),
+              MonicPoly.from_text("z^3-z")):
+        for x in rational_prep(f):
+            orbit = [x]
+            while orbit[-1] not in orbit[:-1]:
+                orbit.append(f.eval_exact(orbit[-1]))
+            h = canonical_height_alg(f, AlgebraicPoint.from_rational(x), n)
+            if len(orbit) - 1 <= n:
+                assert (h.value, h.err, h.depth, h.exact_zero) == (0.0, 0.0, len(orbit) - 1, True)
+
+
+def test_alg_height_through_an_iterate_equal_to_zero():
+    sqrt2 = AlgebraicPoint((-2, 0, 1))  # sqrt 2 -> 0 -> -2 -> 2 -> 2 under z^2 - 2
+    h1 = canonical_height_alg(CHEB, sqrt2, 1)
+    assert h1.value == 0.0 and not h1.exact_zero
+    h4 = canonical_height_alg(CHEB, sqrt2, 4)
+    assert h4.exact_zero and h4.depth == 4
 
 
 def test_algebraic_point_validation():

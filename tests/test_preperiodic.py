@@ -186,7 +186,7 @@ _pairs = st.one_of(
 
 
 def _min_polys(f, g, m_cap, n_cap):
-    cert = prep_intersect(f, g, m_cap, n_cap, use_certificate=False, check_suspected_equal=False)
+    cert = prep_intersect(f, g, m_cap, n_cap, use_certificate=False)
     return {p.min_poly for p in cert.points}
 
 
@@ -396,8 +396,7 @@ def test_certificate_implies_no_matches(rng):
         g = sample(2, 25, rng)
         if g == f or disjoint_certificate(f, g) is None:
             continue
-        cert = prep_intersect(f, g, m_cap=3, n_cap=2, use_certificate=False,
-                              check_suspected_equal=False)
+        cert = prep_intersect(f, g, m_cap=3, n_cap=2, use_certificate=False)
         assert cert.matched_clusters == 0, (f.to_text(), g.to_text())
         checked += 1
 

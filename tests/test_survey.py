@@ -36,6 +36,17 @@ def test_survey_config_validation():
         SurveyConfig(d=2, X=5, samples=1, n_cap=-1)
 
 
+@pytest.mark.parametrize("fixed, reason", [
+    ({7: F(1, 2)}, "outside 1..2"),  # sample would ignore an index >= d
+    ({-1: F(1)}, "outside 1..2"),
+    ({2: F(1)}, "centered"),  # f is centered, so a_{d-1} = 0
+    ({1: F(1, 100)}, "height > X"),
+])
+def test_survey_config_rejects_bad_slices(fixed, reason):
+    with pytest.raises(ValueError, match=reason):
+        SurveyConfig(d=3, X=5, samples=1, slice=SliceSpec(fixed))
+
+
 def test_classify_case_examples():
     z2 = MonicPoly.make(2)
     assert classify_case(z2, MonicPoly.from_text("z^2+1/2")) == 1
@@ -221,7 +232,7 @@ def test_survey_prep_counts_points_not_orbits():
     for r in res.rows:
         cert = prep_intersect(
             MonicPoly.from_text(r.f), MonicPoly.from_text(r.g), 3, 2,
-            use_certificate=False, check_suspected_equal=False,
+            use_certificate=False,
         )
         assert r.shared_count == sum(len(p.min_poly) - 1 for p in cert.points), r
         non_rational += any(len(p.min_poly) > 2 for p in cert.points)
@@ -285,7 +296,7 @@ def test_survey_prep_blocks_match_one_pair_prep_intersect(d, X, samples, m_cap, 
     for r in res.rows:
         cert = prep_intersect(
             MonicPoly.from_text(r.f), MonicPoly.from_text(r.g), m_cap, n_cap,
-            use_certificate=r.case == 1, check_suspected_equal=False,
+            use_certificate=r.case == 1,
         )
         assert (r.shared_count, r.inconclusive) == (
             cert.matched_clusters, cert.verdict == "inconclusive"
