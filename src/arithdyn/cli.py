@@ -96,16 +96,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--X", type=int, required=True)
     p.add_argument("--eps", type=str, required=True)
 
-    p = sub.add_parser("survey", help="statistical surveys over height boxes")
+    p = sub.add_parser(
+        "survey", help="statistical surveys over height boxes",
+        description="prep: the mean shared preperiodic count with a 95% interval;"
+        " ordinary: the proportion of epsilon-ordinary pairs with its exact"
+        " (Clopper-Pearson) 95% interval.",
+    )
     p.add_argument("--kind", choices=("prep", "ordinary"), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--X", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--eps", type=str, default="0.1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m-cap", type=int, default=2)
-    p.add_argument("--n-cap", type=int, default=1)
-    p.add_argument("--slice", type=_parse_slice, default=None, help="fixed coords, e.g. '2=0,1=1/2'")
+    p.add_argument("--m-cap", type=int, default=None, help="prep survey; default 2")
+    p.add_argument("--n-cap", type=int, default=None, help="prep survey; default 1")
+    p.add_argument(
+        "--slice", type=_parse_slice, default=None, help="fixed coords, e.g. '2=0,1=1/2' (prep survey)"
+    )
     p.add_argument("--out", type=str, default=None, help="CSV output path (prep survey)")
 
     p = sub.add_parser("robin", help="Robin constant of the upper-bound adelic set")
@@ -168,8 +175,8 @@ def _run(args) -> int:
                 eps=float(Fraction(args.eps)),
                 seed=args.seed,
                 slice=args.slice,
-                m_cap=args.m_cap,
-                n_cap=args.n_cap,
+                m_cap=2 if args.m_cap is None else args.m_cap,
+                n_cap=1 if args.n_cap is None else args.n_cap,
                 out=args.out,
             )
             _emit(survey_average_prep(cfg).to_json())
@@ -196,6 +203,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cmd == "survey" and args.kind == "ordinary":
+            prep_only = ("slice", "out", "m_cap", "n_cap")
+            given = [f"--{o.replace('_', '-')}" for o in prep_only if getattr(args, o) is not None]
+            if given:
+                parser.error(f"{', '.join(given)}: not used by --kind ordinary")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_ERROR
     try:

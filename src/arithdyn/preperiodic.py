@@ -13,9 +13,11 @@ pair of differences in lock-step (the divsteps of Bernstein and Yang, TCHES
 2019); a survey screens its pairs outside Case 1 in blocks, one prime and
 one such gcd per block.  Only a pair with a common factor mod p has its
 exact integer iterates built.  The rational points of a common factor are
-found from its roots in GF(p), lifted and checked exactly; sympy is
-imported only to factor what is left.  Every root of f^m - f^n is
-preperiodic, so no tolerance and no height check is involved.
+found from its roots in GF(p), lifted and checked exactly; a quadratic
+orbit is lifted from a gcd mod p of degree 2 by rational reconstruction and
+proved by exact division; sympy is imported only to factor what is left
+after that.  Every root of f^m - f^n is preperiodic, so no tolerance and no
+height check is involved.
 `suspected_equal` is true exactly when f o g = g o f, i.e. the maps have the
 same preperiodic points; it is independent of the caps.
 """
@@ -455,25 +457,63 @@ def _quotient(a: List[int], g: Tuple[int, ...]) -> Optional[List[int]]:
     return None if any(r[:n]) else q
 
 
+def _rational(r: int, p: int) -> Optional[Fraction]:
+    """The n/d with |n|, d <= B = floor(sqrt(p/2)) and n = d r mod p, or None
+    if there is none; it is unique, since 2 B^2 < p (Wang, Guy and Davenport,
+    SIGSAM Bull. 1982).  The extended Euclidean algorithm on (p, r) stops at
+    the first remainder r1 <= B, and r1 = t1 r mod p."""
+    bound = math.isqrt(p // 2)
+    r0, r1, t0, t1 = p, r % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= bound else None
+
+
+def _lift_quadratic(a: List[int], b: List[int], c: List[int], p: int) -> Optional[Tuple[int, ...]]:
+    """gcd(a, b) over Q, when it is the irreducible quadratic lifted from their
+    monic gcd c mod p of degree 2, or None.
+
+    The two low coefficients of c are lifted by `_rational`; their common
+    denominator makes the lift G primitive.  If G divides a and b exactly, it
+    divides their gcd over Q, which has degree at most deg c = deg G because
+    the leading coefficients of a and b are units mod p (Brown, JACM 1971);
+    so G is that gcd, and it is irreducible when its discriminant is not a
+    square.
+    """
+    lows = [_rational(k, p) for k in c[:2]]
+    if None in lows:
+        return None
+    L = math.lcm(*(x.denominator for x in lows))
+    G = tuple(int(x * L) for x in lows) + (L,)
+    disc = G[1] ** 2 - 4 * G[0] * G[2]
+    if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+        return None
+    return G if _quotient(a, G) is not None and _quotient(b, G) is not None else None
+
+
 def _pair_factors(lanes: List[Tuple[List[int], List[int], List[int]]], p: int) -> set:
     """The irreducible factors over Q (ascending, primitive, positive leading
     coefficient) of every gcd(a, b), for the lanes (a, b, c) of one pair of
     maps: integer a, b whose leading coefficients are units mod p, and c their
     monic gcd mod p.
 
-    The candidate factors of a lane are the factors already found for the
-    pair and the rational points that the roots of the gcds in GF(p) allow:
-    a common rational root u/v has v | l = gcd(lc a, lc b), so l r = (l/v) u
-    mod p for the root r it reduces to, and r is lifted to the symmetric
-    residue of l r over l.  A candidate that divides both a and b exactly is
-    a factor: it is divided out of a and b, and its reduction out of c, which
-    leaves the gcd mod p of the quotients.  The roots of a lane's c are
-    searched for only when no candidate divides; sympy is imported only if
-    that search adds none.
+    The lanes are taken by increasing deg c, so that a factor found in a small
+    gcd is a candidate in the larger ones.  The candidate factors of a lane
+    are the factors already found for the pair and the rational points that
+    the roots of the gcds in GF(p) allow: a common rational root u/v has
+    v | l = gcd(lc a, lc b), so l r = (l/v) u mod p for the root r it reduces
+    to, and r is lifted to the symmetric residue of l r over l.  A candidate
+    that divides both a and b exactly is a factor: it is divided out of a and
+    b, and its reduction out of c, which leaves the gcd mod p of the
+    quotients.  The roots of a lane's c are searched for only when no
+    candidate divides.  If that search adds none and c is quadratic, the
+    quadratic orbit is lifted from c by `_lift_quadratic`; sympy is imported
+    only to factor what is left after that.
     """
     known: List[int] = []  # roots in GF(p) of the gcds searched so far
     factors: set = set()
-    for a, b, c in lanes:
+    for a, b, c in sorted(lanes, key=lambda lane: len(lane[2])):
         searched = False
         while len(c) > 1:
             l = gcd(a[-1], b[-1])
@@ -500,6 +540,10 @@ def _pair_factors(lanes: List[Tuple[List[int], List[int], List[int]]], p: int) -
             if new:
                 known += new
                 continue
+            lifted = _lift_quadratic(a, b, c, p) if len(c) == 3 else None
+            if lifted is not None:
+                factors.add(lifted)
+                break
             import sympy
 
             z = sympy.Symbol("z")
@@ -510,36 +554,16 @@ def _pair_factors(lanes: List[Tuple[List[int], List[int], List[int]]], p: int) -
     return factors
 
 
-def _shared_min_polys(
-    pairs: List[Tuple[List[List[int]], List[List[int]]]]
-) -> List[List[Tuple[int, ...]]]:
-    """For each pair (A, B) of two maps' `_differences`, the integer minimal
-    polynomials (ascending, primitive, positive leading coefficient) of the
-    points preperiodic for both maps at the caps.
-
-    They are the irreducible factors of gcd(prod A, prod B) over Q, i.e. of
-    the pairwise gcd(a, b).  A pair coprime modulo a prime p dividing neither
-    leading coefficient is coprime over Q (Brown, JACM 1971).  Every (a, b) of
-    every pair is screened in one `_gcd_lanes` call modulo the first prime
-    below 2^31 that divides no leading coefficient in the list.  This screens
-    the exact differences themselves: it is the reference for `_shared_points`,
-    which screens them modulo p before building them.
-    """
-    p = _prime_avoiding(math.prod(c[-1] for A, B in pairs for c in A + B))
-    gcds = iter(_gcd_lanes([(a, b) for A, B in pairs for a in A for b in B], p))
-    out = []
-    for A, B in pairs:
-        out.append(sorted(_pair_factors([(a, b, next(gcds)) for a in A for b in B], p)))
-    return out
-
-
 def _shared_points(
     pairs: List[Tuple[MonicPoly, MonicPoly]], m_cap: int, n_cap: int
 ) -> List[Union[List[Tuple[int, ...]], CapExceeded, ArithmeticError]]:
-    """For each pair (f, g), the integer minimal polynomials of the points
-    preperiodic for both maps at the caps, as `_shared_min_polys` gives them;
-    or the CapExceeded (an iterate beyond the degree budget, checked before
-    any work) or ArithmeticError that the pair raised, which touches no other
+    """For each pair (f, g), the integer minimal polynomials (ascending,
+    primitive, positive leading coefficient) of the points preperiodic for
+    both maps at the caps: the irreducible factors of gcd(prod A, prod B) over
+    Q for the maps' `_differences` A and B, as `_shared_min_polys` in
+    tests/test_preperiodic.py gives them from the exact differences; or the
+    CapExceeded (an iterate beyond the degree budget, checked before any
+    work) or ArithmeticError that the pair raised, which touches no other
     pair.
 
     All pairs are screened in one `_gcd_lanes` call modulo the first prime

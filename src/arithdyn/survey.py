@@ -296,8 +296,38 @@ class OrdinaryResult:
         }
 
 
+def _beta_quantile(q: float, a: int, b: int) -> float:
+    """The q-quantile of Beta(a, b), 0 < q < 1: the root of I_x(a, b) = q for
+    mpmath's regularised incomplete beta function I, which increases in x.
+    Newton steps from the mean; a step that would leave the bracket [lo, hi]
+    on which I_x - q changes sign is replaced by bisection."""
+    import mpmath
+
+    lo, hi, x = 0.0, 1.0, a / (a + b)
+    log_beta = mpmath.log(mpmath.beta(a, b))
+    for _ in range(100):
+        r = mpmath.betainc(a, b, 0, x, regularized=True) - q
+        lo, hi = (x, hi) if r < 0 else (lo, x)
+        pdf = mpmath.exp((a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) - log_beta)
+        step = float(x - r / pdf)
+        if abs(step - x) <= 1e-15 * x:
+            return step
+        x = step if lo < step < hi else (lo + hi) / 2
+    return x
+
+
+def _clopper_pearson(k: int, n: int) -> Tuple[float, float]:
+    """The exact (Clopper-Pearson) 95% interval for a proportion with k hits in
+    n trials: lo = 0 at k = 0, else the 2.5% quantile of Beta(k, n - k + 1);
+    hi = 1 at k = n, else the 97.5% quantile of Beta(k + 1, n - k)."""
+    lo = 0.0 if k == 0 else _beta_quantile(0.025, k, n - k + 1)
+    hi = 1.0 if k == n else _beta_quantile(0.975, k + 1, n - k)
+    return lo, hi
+
+
 def survey_ordinary(d: int, X: int, eps, samples: int, seed: int = 0) -> OrdinaryResult:
-    """Empirical proportion of generic (epsilon-ordinary) pairs in S(X)."""
+    """Empirical proportion of generic (epsilon-ordinary) pairs in S(X), with
+    its exact 95% interval (`_clopper_pearson`)."""
     master = np.random.SeedSequence(seed)
     children = master.spawn(samples)
     hits = 0
@@ -307,9 +337,7 @@ def survey_ordinary(d: int, X: int, eps, samples: int, seed: int = 0) -> Ordinar
         g = sample(d, X, rng, centered=False)
         ok, _ = is_ordinary(f, g, X, eps)
         hits += ok
-    p = hits / samples
-    half = 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / samples)
-    return OrdinaryResult(X, p, max(0.0, p - half), min(1.0, p + half), samples)
+    return OrdinaryResult(X, hits / samples, *_clopper_pearson(hits, samples), samples)
 
 
 def survey_ordinary_ladder(

@@ -146,6 +146,21 @@ def test_survey_slice_is_checked_before_sampling(capsys, monkeypatch, text, code
     assert (got, out) == (code, "") and reason in err
 
 
+@pytest.mark.parametrize("option", [
+    ("--slice", "1=1/2"), ("--out", "rows.csv"), ("--m-cap", "9"), ("--n-cap", "1"),
+])
+def test_ordinary_survey_rejects_prep_options(capsys, monkeypatch, tmp_path, option):
+    def no_survey(*args, **kwargs):
+        raise AssertionError("surveyed with an ignored option")  # exit code 3
+
+    monkeypatch.setattr("arithdyn.cli.survey_ordinary", no_survey)
+    monkeypatch.chdir(tmp_path)
+    args = ("survey", "--kind", "ordinary", "--d", "3", "--X", "5", "--samples", "5")
+    got, out, err = run_cli(capsys, *args, *option)
+    assert (got, out) == (1, "") and option[0] in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_robin_command(capsys):
     code, out, _ = run_cli(
         capsys, "robin", "z^8+(1/9967)z+1/9973",

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -25,12 +22,16 @@ from arithdyn.preperiodic import (
     _gcd_lanes,
     _iterates,
     _iterates_mod,
+    _lift_quadratic,
+    _pair_factors,
+    _prime_avoiding,
     _quotient,
+    _rational,
     _reduce,
     _roots_mod,
-    _shared_min_polys,
     _shared_points,
 )
+from conftest import heavy_modules_loaded
 
 Z2 = MonicPoly.make(2)
 CHEB = MonicPoly.from_text("z^2-2")
@@ -136,10 +137,11 @@ def test_prep_intersect_exact_points(f, g, min_polys):
 
 
 def test_trivial_screen_does_not_import_sympy():
-    # sympy doubles the resident memory of a survey; only a common factor
-    # that is not a product of rational points may load it.
+    # sympy doubles the resident memory of a survey.  Rational points come
+    # from roots in GF(p) and quadratic orbits from the lifted gcd mod p;
+    # only a common factor left after that may load it.
     code = (
-        "import sys, arithdyn as ad\n"
+        "import arithdyn as ad\n"
         "M = ad.MonicPoly.from_text\n"
         "c = ad.prep_intersect(M('z^2+1/3'), M('z^2+z+1/3'), use_certificate=False)\n"
         "assert c.verdict == 'intersection' and c.points == (), c\n"
@@ -149,11 +151,77 @@ def test_trivial_screen_does_not_import_sympy():
         "assert [p.min_poly for p in c.points] == [(0, 1), (1, 1)], c\n"
         "c = ad.prep_intersect(M('z^2-3/4'), M('z^2+(1/2)z-1/2'), use_certificate=False)\n"
         "assert [p.min_poly for p in c.points] == [(-1, 2), (1, 2), (3, 2)], c\n"
-        "assert 'sympy' not in sys.modules\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+    assert "sympy" not in heavy_modules_loaded(code)
+
+
+def test_quadratic_orbits_do_not_import_sympy():
+    # The min polys pinned in test_prep_intersect_exact_points; every
+    # irrational orbit among them is quadratic.
+    cases = [
+        ("z^2", "z^2-z", [(-1, 1), (0, 1), (1, -1, 1), (1, 1)]),
+        ("z^2-z", "z^2-1", [(-1, -1, 1), (-1, 1), (0, 1), (1, 1)]),
+        ("z^2+1/4", "z^2-3/4", [(-1, 2), (1, 2), (3, 0, 4)]),
+        ("z^2+1", "z^2+z", [(1, 1, 1)]),
+        ("z^3+z", "z^3-z^2+2z-1", [(1, 0, 1), (2, 0, 1)]),
+    ]
+    code = "import arithdyn as ad\nM = ad.MonicPoly.from_text\n" + "".join(
+        f"c = ad.prep_intersect(M({f!r}), M({g!r}), 3, 2, use_certificate=False)\n"
+        f"assert sorted(p.min_poly for p in c.points) == {want!r}, c\n"
+        for f, g, want in cases
+    )
+    assert "sympy" not in heavy_modules_loaded(code)
+
+
+def test_quadratic_lift_out_of_range_falls_back_to_sympy(monkeypatch):
+    # q = z^2 + 40000 z + 1 has a coefficient above floor(sqrt(p/2)) = 32767,
+    # so rational reconstruction fails and sympy factors the gcd.
+    lifts = []
+
+    def spy(a, b, c, p):
+        lifts.append(_lift_quadratic(a, b, c, p))
+        return lifts[-1]
+
+    monkeypatch.setattr(preperiodic, "_lift_quadratic", spy)
+    q = [F(1), F(40000), F(1)]
+    f, g = _fixing(q, [0, 1]), _fixing(q, [1, 1])
+    cert = prep_intersect(f, g, 3, 2, use_certificate=False)
+    assert sorted(p.min_poly for p in cert.points) == [(1, 40000, 1), (2, 40000, 1)]
+    assert lifts and all(x is None for x in lifts)
+
+
+@pytest.mark.parametrize("common, a, b, c, lifted", [
+    # z^2 + z + 1 divides both: it is the gcd
+    ([1, 1, 1], [-2, 1], [1, 3], [1, 1, 1], (1, 1, 1)),
+    # c lifts to 2z^2 + 1, which divides neither a nor b
+    ([1], [1, 0, 1], [2, 0, 1], [pow(2, -1, 2**31 - 1), 0, 1], None),
+    # (z - 1)(z - 2) divides both, but its discriminant is a square
+    ([2, -3, 1], [5, 1], [7, 1], [2, 2**31 - 4, 1], None),
+])
+def test_lift_quadratic_proves_or_declines(common, a, b, c, lifted):
+    assert _lift_quadratic(_times(common, a), _times(common, b), c, 2**31 - 1) == lifted
+
+
+_P = 2**31 - 1
+_BOUND = math.isqrt(_P // 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-_BOUND, _BOUND), st.integers(1, _BOUND))
+def test_rational_reconstruction_round_trip(n, d):
+    x = F(n, d)
+    assert _rational(x.numerator * pow(x.denominator, -1, _P) % _P, _P) == x
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_rational_reconstruction_finds_the_one_in_range_or_none(p):
+    # Every residue mod p, against all n/d with |n|, d <= floor(sqrt(p/2)).
+    bound = math.isqrt(p // 2)
+    small = {F(n, d) for n in range(-bound, bound + 1) for d in range(1, bound + 1)}
+    want = {x.numerator * pow(x.denominator, -1, p) % p: x for x in small}
+    assert len(want) == len(small)  # unique, since 2 bound^2 < p
+    assert [_rational(r, p) for r in range(p)] == [want.get(r) for r in range(p)]
+    assert len(want) < p  # the other residues give None
 
 
 _coeff = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
@@ -289,6 +357,27 @@ def test_gcd_lanes_matches_scalar_euclid(lanes, p):
     assert _gcd_lanes(lanes, p) == [_euclid_mod(a, b, p) for a, b in lanes]
 
 
+def _shared_min_polys(pairs):
+    """For each pair (A, B) of two maps' `_differences`, the integer minimal
+    polynomials (ascending, primitive, positive leading coefficient) of the
+    points preperiodic for both maps at the caps.
+
+    They are the irreducible factors of gcd(prod A, prod B) over Q, i.e. of
+    the pairwise gcd(a, b).  A pair coprime modulo a prime p dividing neither
+    leading coefficient is coprime over Q (Brown, JACM 1971).  Every (a, b) of
+    every pair is screened in one `_gcd_lanes` call modulo the first prime
+    below 2^31 that divides no leading coefficient in the list.  This screens
+    the exact differences themselves: it is the reference for `_shared_points`,
+    which screens them modulo p before building them.
+    """
+    p = _prime_avoiding(math.prod(c[-1] for A, B in pairs for c in A + B))
+    gcds = iter(_gcd_lanes([(a, b) for A, B in pairs for a in A for b in B], p))
+    out = []
+    for A, B in pairs:
+        out.append(sorted(_pair_factors([(a, b, next(gcds)) for a in A for b in B], p)))
+    return out
+
+
 def test_prime_fallback_alone_and_in_a_block():
     # P divides the leading coefficients of f's iterate differences, so the
     # screen falls back to the next prime below it; modulo P the factor
@@ -386,6 +475,39 @@ def test_shared_points_double_rational_and_irrational_roots():
     (found,) = _shared_points([(f, g)], 2, 1)
     assert {(-1, 2), (3, 1), (-2, 0, 1)} <= set(found)
     assert found == _shared_min_polys([(_differences(f, 2, 1), _differences(g, 2, 1))])[0]
+
+
+def _preperiodic_product(f, m_cap, n_cap):
+    """prod (f^m - f^n) over n < m <= m_cap, n <= n_cap, as a sympy Poly over Q."""
+    z = sympy.Symbol("z")
+    F_ = sympy.Poly([1] + [sympy.Rational(c.numerator, c.denominator) for c in f.coeffs[::-1]], z)
+    iterates = [sympy.Poly(z, z, domain="QQ")]
+    for _ in range(m_cap):
+        iterates.append(F_.compose(iterates[-1]))
+    prod = sympy.Poly(1, z, domain="QQ")
+    for m in range(1, m_cap + 1):
+        for n in range(min(n_cap, m - 1) + 1):
+            prod *= iterates[m] - iterates[n]
+    return prod
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_pairs)
+def test_shared_points_match_the_sympy_gcd_of_the_products(pair):
+    # The check of benchmark/reference.py, made without _pair_factors: the
+    # min polys are irreducible and their product is the squarefree part of
+    # the gcd over Q of the two maps' preperiodic products.
+    f, g = pair
+    assume(f != g)
+    min_polys = _min_polys(f, g, 3, 2)
+    z = sympy.Symbol("z")
+    found = sympy.Poly(1, z, domain="QQ")
+    for mp in min_polys:
+        factor = sympy.Poly(mp[::-1], z, domain="QQ")
+        assert factor.is_irreducible, mp
+        found *= factor
+    common = _preperiodic_product(f, 3, 2).gcd(_preperiodic_product(g, 3, 2))
+    assert found.monic() == common.sqf_part().monic(), (f.to_text(), g.to_text())
 
 
 def test_certificate_implies_no_matches(rng):

@@ -1,8 +1,7 @@
-import os
 import pathlib
 import re
-import subprocess
-import sys
+
+from conftest import heavy_modules_loaded
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "arithdyn"
 
@@ -39,11 +38,4 @@ def test_no_broad_except_in_source():
 def test_import_loads_no_heavy_dependency():
     # sympy alone costs about 0.45 s of CPU to import, so sympy, mpmath and
     # scipy are imported inside the functions that need them.
-    heavy = ("sympy", "mpmath", "scipy")
-    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    code = f"import sys, arithdyn; print([m for m in {heavy!r} if m in sys.modules])"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[]", out.stdout
+    assert heavy_modules_loaded("import arithdyn") == set()

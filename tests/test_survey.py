@@ -1,8 +1,5 @@
 import csv
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -23,6 +20,8 @@ from arithdyn import (
     survey_ordinary_ladder,
 )
 from arithdyn.rationals import radical
+from arithdyn.survey import _clopper_pearson
+from conftest import heavy_modules_loaded
 
 
 def test_survey_config_validation():
@@ -124,6 +123,17 @@ def test_survey_ordinary_harder_for_smaller_eps():
     assert lo < hi
 
 
+@pytest.mark.parametrize("k, n", [(0, 100), (3, 10**4), (50, 100), (100, 100), (1, 1)])
+def test_ordinary_interval_is_clopper_pearson(k, n):
+    from scipy.stats import beta
+
+    lo, hi = _clopper_pearson(k, n)
+    assert abs(lo - (0.0 if k == 0 else beta.ppf(0.025, k, n - k + 1))) < 1e-9
+    assert abs(hi - (1.0 if k == n else beta.ppf(0.975, k + 1, n - k))) < 1e-9
+    if (k, n) == (0, 100):
+        assert abs(hi - (1 - 0.025 ** (1 / 100))) < 1e-9  # about 0.03622
+
+
 def test_radical_stats_exact_small():
     rs = radical_stats(10)
     expected = (
@@ -205,10 +215,7 @@ def test_constants_values():
 def test_constants_does_not_import_scipy():
     # scipy is a test-only dependency; importing it took most of the time of
     # `arithdyn constants`.
-    code = "import sys, arithdyn as ad\nad.constants()\nassert 'scipy' not in sys.modules\n"
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+    assert "scipy" not in heavy_modules_loaded("import arithdyn as ad\nad.constants()\n")
 
 
 def test_survey_prep_reports_inconclusive_rows(tmp_path):
