@@ -50,6 +50,15 @@ def _parse_slice(text: str) -> SliceSpec:
         raise argparse.ArgumentTypeError(f"malformed slice {text!r}: {exc}") from exc
 
 
+# Prep-survey options: refused with --kind ordinary, and given to SurveyConfig only when set.
+_PREP_ONLY = ("slice", "out", "m_cap", "n_cap")
+
+
+def _given(args, names) -> dict:
+    """The options among `names` with a value: those left unset are None."""
+    return {o: getattr(args, o) for o in names if getattr(args, o) is not None}
+
+
 def _poly_arg(text: str) -> MonicPoly:
     """Accept either polynomial text or the canonical JSON form."""
     text = text.strip()
@@ -87,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prep-intersect", help="exact common preperiodic points")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--m-cap", type=int, default=3)
-    p.add_argument("--n-cap", type=int, default=2)
+    p.add_argument("--m-cap", type=int)
+    p.add_argument("--n-cap", type=int)
 
     p = sub.add_parser("ordinary-check", help="epsilon-ordinary test for a pair")
     p.add_argument("f")
@@ -108,12 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--eps", type=str, default="0.1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m-cap", type=int, default=None, help="prep survey; default 2")
-    p.add_argument("--n-cap", type=int, default=None, help="prep survey; default 1")
-    p.add_argument(
-        "--slice", type=_parse_slice, default=None, help="fixed coords, e.g. '2=0,1=1/2' (prep survey)"
-    )
-    p.add_argument("--out", type=str, default=None, help="CSV output path (prep survey)")
+    p.add_argument("--m-cap", type=int, help=f"prep survey; default {SurveyConfig.m_cap}")
+    p.add_argument("--n-cap", type=int, help=f"prep survey; default {SurveyConfig.n_cap}")
+    p.add_argument("--slice", type=_parse_slice, help="prep survey; fixed a_i, e.g. '2=0,1=1/2'")
+    p.add_argument("--out", type=str, help="CSV output path (prep survey)")
 
     p = sub.add_parser("robin", help="Robin constant of the upper-bound adelic set")
     p.add_argument("f")
@@ -159,7 +166,7 @@ def _run(args) -> int:
     elif args.cmd == "prep-intersect":
         f = _poly_arg(args.f)
         g = _poly_arg(args.g)
-        cert = prep_intersect(f, g, args.m_cap, args.n_cap)
+        cert = prep_intersect(f, g, **_given(args, ("m_cap", "n_cap")))
         _emit(cert.to_json())
     elif args.cmd == "ordinary-check":
         f = _poly_arg(args.f)
@@ -168,17 +175,8 @@ def _run(args) -> int:
         _emit({"ordinary": ok, "witness": witness, "X": args.X, "eps": args.eps})
     elif args.cmd == "survey":
         if args.kind == "prep":
-            cfg = SurveyConfig(
-                d=args.d,
-                X=args.X,
-                samples=args.samples,
-                eps=float(Fraction(args.eps)),
-                seed=args.seed,
-                slice=args.slice,
-                m_cap=2 if args.m_cap is None else args.m_cap,
-                n_cap=1 if args.n_cap is None else args.n_cap,
-                out=args.out,
-            )
+            given = _given(args, ("d", "X", "samples", "seed") + _PREP_ONLY)
+            cfg = SurveyConfig(eps=Fraction(args.eps), **given)
             _emit(survey_average_prep(cfg).to_json())
         else:
             res = survey_ordinary(args.d, args.X, Fraction(args.eps), args.samples, args.seed)
@@ -204,8 +202,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.cmd == "survey" and args.kind == "ordinary":
-            prep_only = ("slice", "out", "m_cap", "n_cap")
-            given = [f"--{o.replace('_', '-')}" for o in prep_only if getattr(args, o) is not None]
+            given = [f"--{o.replace('_', '-')}" for o in _given(args, _PREP_ONLY)]
             if given:
                 parser.error(f"{', '.join(given)}: not used by --kind ordinary")
     except SystemExit as exc:

@@ -41,7 +41,7 @@ __all__ = [
 
 
 class DegreeCapExceeded(ValueError):
-    """Resultant degree d^n * deg(x) above the configured cap."""
+    """Resultant degree d^n * deg(x) above 5000 (_DEGREE_CAP)."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,7 @@ class DegreeCapExceeded(ValueError):
 
 
 _DEPTH_CAP = 64
+_DEGREE_CAP = 5000  # of canonical_height_alg
 
 
 def _green_finite(f: MonicPoly, p: int, x: Fraction, cap: int = _DEPTH_CAP) -> Fraction:
@@ -164,9 +165,7 @@ class AlgHeight:
     exact_zero: bool = False
 
 
-def canonical_height_alg(
-    f: MonicPoly, x: AlgebraicPoint, n: int, degree_cap: int = 5000
-) -> AlgHeight:
+def canonical_height_alg(f: MonicPoly, x: AlgebraicPoint, n: int) -> AlgHeight:
     """d^-n h(f^n(x)) with an explicit error bound.
 
     t = f^n(y) is iterated in Q[y]/(m) as a sympy Poly over QQ; orbits whose
@@ -176,7 +175,7 @@ def canonical_height_alg(
     form has leading coefficient `lead` and roots f^n at the embeddings of x,
     and h(f^n(x)) = (1/D) log M of it.  The error bound uses the standard
     |h(f(y)) - d h(y)| <= C(f) estimate with C(f) computed from the
-    coefficients.
+    coefficients.  Raises DegreeCapExceeded when d^n * deg(x) > _DEGREE_CAP.
     """
     from sympy import QQ, Poly, symbols
     from sympy.polys.matrices import DomainMatrix
@@ -184,8 +183,8 @@ def canonical_height_alg(
     if n < 1:
         raise ValueError("depth must be >= 1")
     D = x.degree
-    if f.d**n * D > degree_cap:
-        raise DegreeCapExceeded(f"d^n * deg(x) = {f.d ** n * D} > {degree_cap}")
+    if f.d**n * D > _DEGREE_CAP:
+        raise DegreeCapExceeded(f"d^n * deg(x) = {f.d ** n * D} > {_DEGREE_CAP}")
     m = x.min_poly
     y = Poly(symbols("y"), domain=QQ)
     mp = Poly(m[::-1], *y.gens, domain=QQ)

@@ -205,20 +205,15 @@ def green_nonarch(f: MonicPoly, v: PlaceQ, log_radius: Rat) -> Tuple[Fraction, b
     if v.is_arch:
         raise ValueError("green_nonarch is for finite places")
     t = Fraction(log_radius)
-    p = v.p
-    d = f.d
-    if f.explicit_good_at(p):
-        return max(t, Fraction(0)), False
     try:
-        s = strata(f, v)
+        shape = _one_large(f, v.p)
     except StrataHypothesisError as exc:
-        raise BadPlaceError(f"bad place p={p}: bounds only ({exc})") from exc
-    m = s.m
-    j = s.j
+        raise BadPlaceError(f"bad place p={v.p}: bounds only ({exc})") from exc
+    if shape is None:
+        return max(t, Fraction(0)), False
+    (j, m, (r1, r2, r3)), d = shape, f.d
     if j == 0:
-        r1 = s.log_radii[0]
         return max(t, r1), t == r1
-    r1, r2, r3 = s.log_radii
     on_boundary = t in (r1, r2, r3)
     if t >= r1:
         val = t
@@ -266,9 +261,9 @@ def mass_outside_unit(g: MonicPoly, v: PlaceQ) -> Optional[int]:
 class BerkSetDescriptor:
     """Compact Berkovich set at one finite place with its exact capacity.
 
-    variant: "unit-disk", "gauss-point", "disk", "strata-support",
-    "union-with-point".  capacity is a Fraction in units of log p (for the
-    unit disk and Gauss point it is 0).
+    variant: "unit-disk", "strata-support" (strata_intersection_set) or
+    "union-with-point" (strata_union_set).  capacity is a Fraction in units
+    of log p (0 for the unit disk).
     """
 
     variant: str

@@ -259,11 +259,14 @@ def height(f: MonicPoly) -> LogValue:
 
 
 def _eps_fraction(eps) -> Fraction:
-    """The tolerance exponent eps as an exact fraction in (0, 1/4); floats go
-    through their decimal text."""
+    """The tolerance exponent eps as an exact fraction in (0, 1/4), a float
+    read from its decimal text.  is_ordinary raises integers to the power of
+    its denominator, so one above 10^4 (2 * 10^16 for the float 1/7) is refused."""
     e = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     if not 0 < e < Fraction(1, 4):
         raise ValueError("eps must lie in (0, 1/4)")
+    if e.denominator > 10**4:
+        raise ValueError(f"eps = {eps}: denominator > 10^4; pass a Fraction such as Fraction(1, 7)")
     return e
 
 

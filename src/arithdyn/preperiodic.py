@@ -210,23 +210,21 @@ def is_rational_preperiodic(f: MonicPoly, x: Fraction, _cache: Optional[dict] = 
     return verdict
 
 
-def rational_prep(f: MonicPoly, height_cap: Optional[int] = None) -> List[Fraction]:
+def rational_prep(f: MonicPoly) -> List[Fraction]:
     """Exact list of rational preperiodic points of f.
 
-    Candidates have denominator dividing the bad-place bound and absolute
-    value at most R_{f,inf}; each is settled by an exact orbit walk.
+    Candidates have denominator dividing the bad-place bound D and absolute
+    value at most R_{f,inf}; each is settled by an exact orbit walk.  Raises
+    CapExceeded when D > 10^6.
     """
     D = _denominator_bound(f)
-    if height_cap is None and D > 10**6:
-        raise CapExceeded("denominator bound too large; pass height_cap")
+    if D > 10**6:
+        raise CapExceeded(f"denominator bound {D} > 10^6")
     R = _arch_params(f)
     out: List[Fraction] = []
     cache: dict = {}
-    divisors = [b for b in _divisors(D) if height_cap is None or b <= height_cap]
-    for b in divisors:
+    for b in _divisors(D):
         a_max = int(math.floor(b * R + 1e-9)) + 1
-        if height_cap is not None:
-            a_max = min(a_max, height_cap)
         for a in range(-a_max, a_max + 1):
             if gcd(abs(a), b) != 1:
                 continue
@@ -393,6 +391,8 @@ def _powmod(a: List[int], e: int, c: List[int], p: int) -> List[int]:
     k = len(c) - 1
     low = [-x for x in c[:-1]]
 
+    # Inline, not _mul then _divmod_mod: those gave the same residues but made
+    # the 551 calls of 10 `certify` rounds take 0.136 s instead of 0.098 s.
     def mulmod(x: List[int], y: List[int]) -> List[int]:
         prod = [0] * (2 * k - 1)
         for i, xi in enumerate(x):

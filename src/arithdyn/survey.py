@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 ALPHA = (math.sqrt(17.0) - 1.0) / 8.0
+_LADDER_RUNGS = 3
+_C_GRID = 24
 
 
 @dataclass
@@ -66,7 +68,7 @@ class SurveyConfig:
     d: int
     X: int
     samples: int
-    eps: float = 0.1
+    eps: Fraction = Fraction(1, 10)
     seed: int = 0
     slice: Optional[SliceSpec] = None
     m_cap: int = 2
@@ -76,7 +78,7 @@ class SurveyConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
-        _eps_fraction(self.eps)
+        self.eps = _eps_fraction(self.eps)
         if self.m_cap < 1 or self.n_cap < 0:
             raise ValueError("caps must satisfy m_cap >= 1 and n_cap >= 0")
         for i, c in (self.slice.fixed if self.slice else {}).items():
@@ -341,10 +343,10 @@ def survey_ordinary(d: int, X: int, eps, samples: int, seed: int = 0) -> Ordinar
 
 
 def survey_ordinary_ladder(
-    d: int, X: int, eps, samples: int, seed: int = 0, rungs: int = 3
+    d: int, X: int, eps, samples: int, seed: int = 0
 ) -> List[OrdinaryResult]:
-    """Proportions along X, 2X, 4X, ...; asserts the monotone increase."""
-    out = [survey_ordinary(d, X * 2**k, eps, samples, seed + k) for k in range(rungs)]
+    """Proportions at X, 2X, 4X (_LADDER_RUNGS); asserts the monotone increase."""
+    out = [survey_ordinary(d, X * 2**k, eps, samples, seed + k) for k in range(_LADDER_RUNGS)]
     for a, b in zip(out, out[1:]):
         if not b.proportion > a.proportion:
             raise AssertionError(
@@ -476,14 +478,12 @@ def build_upper_adelic_set(
     return AdelicSet(entries, robin)
 
 
-def search_adelic_c(
-    f: MonicPoly, g: MonicPoly, X: int, eps, grid: int = 24
-) -> Tuple[float, AdelicSet]:
-    """Grid search over the admissible c range for the largest Robin constant."""
+def search_adelic_c(f: MonicPoly, g: MonicPoly, X: int, eps) -> Tuple[float, AdelicSet]:
+    """Largest Robin constant over c = k (1 - 2 alpha) / 25, k = 1..24 (_C_GRID)."""
     best = None
     c_max = 1 - 2 * ALPHA
-    for k in range(1, grid + 1):
-        c = c_max * k / (grid + 1)
+    for k in range(1, _C_GRID + 1):
+        c = c_max * k / (_C_GRID + 1)
         a = build_upper_adelic_set(f, g, c, X, eps)
         if best is None or a.robin_float > best[1].robin_float:
             best = (c, a)

@@ -315,7 +315,7 @@ def test_arch_pairing_is_deterministic_and_symmetric():
     g = MonicPoly.from_text("z^3-2z")
     ap = arch_pairing(f, g, 2000)
     assert arch_pairing(f, g, 2000) == ap
-    # tol is keyword-only: a generator passed where rng used to be is refused
+    # arch_pairing takes no rng: a generator passed as a fourth argument is refused
     with pytest.raises(TypeError):
         arch_pairing(f, g, 2000, np.random.default_rng(1))
     swapped = arch_pairing(g, f, 2000)

@@ -1,10 +1,13 @@
 import csv
 import json
+import pathlib
+import shlex
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from arithdyn.cli import main
+from arithdyn.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +77,13 @@ def test_prep_intersect_command(capsys):
     code, out, _ = run_cli(capsys, "prep-intersect", "z^2", "z^2+1/2")
     obj = json.loads(out)
     assert obj["verdict"] == "disjoint" and obj["witness_place"] == 2
+
+
+def test_prep_intersect_caps_default_to_the_library(capsys):
+    capped = ("--m-cap", "2", "--n-cap", "1")
+    for extra, caps in (((), {"m": 3, "n": 2}), (capped, {"m": 2, "n": 1})):
+        code, out, _ = run_cli(capsys, "prep-intersect", "z^2", "z^2-z", *extra)
+        assert code == 0 and json.loads(out)["caps"] == caps
 
 
 def test_ordinary_check_command(capsys):
@@ -159,6 +169,37 @@ def test_ordinary_survey_rejects_prep_options(capsys, monkeypatch, tmp_path, opt
     got, out, err = run_cli(capsys, *args, *option)
     assert (got, out) == (1, "") and option[0] in err
     assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("extra, eps, caps", [
+    (("--eps", "1/7"), Fraction(1, 7), (2, 1)),
+    (("--m-cap", "3", "--n-cap", "2"), Fraction(1, 10), (3, 2)),
+])
+def test_survey_config_takes_exact_eps_and_library_caps(capsys, monkeypatch, extra, eps, caps):
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return SimpleNamespace(to_json=dict)
+
+    monkeypatch.setattr("arithdyn.cli.survey_average_prep", record)
+    args = ("survey", "--kind", "prep", "--d", "2", "--X", "5", "--samples", "3")
+    code, _, _ = run_cli(capsys, *args, *extra)
+    (cfg,) = seen
+    assert code == 0 and cfg.eps == eps and (cfg.m_cap, cfg.n_cap) == caps
+
+
+def test_readme_cli_examples_parse():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("arithdyn ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_robin_command(capsys):

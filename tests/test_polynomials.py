@@ -27,6 +27,7 @@ from arithdyn import (
     sample_rational,
     strata,
 )
+from arithdyn.polynomials import _eps_fraction
 
 
 def test_parse_and_format():
@@ -120,6 +121,21 @@ def test_eps_outside_the_open_quarter_is_rejected(eps):
     with pytest.raises(ValueError, match="eps"):
         SurveyConfig(d=2, X=11, samples=1, eps=eps)
     assert is_ordinary(f, g, 11, 0.2) == is_ordinary(f, g, 11, "1/5") == (True, None)
+
+
+def test_eps_with_a_long_denominator_is_refused():
+    """The float 1/7 reads as 2857142857142857 / (2 * 10^16), a power that
+    is_ordinary would never finish raising; an exact Fraction(1, 7) is kept."""
+    with pytest.raises(ValueError, match="Fraction"):
+        _eps_fraction(1 / 7)
+    with pytest.raises(ValueError, match="Fraction"):
+        SurveyConfig(d=2, X=5, samples=3, eps=1 / 7)
+    assert SurveyConfig(d=2, X=5, samples=3, eps=F(1, 7)).eps == F(1, 7)
+    in_use = [_eps_fraction(e) for e in (0.05, 0.1, 0.2, "1/5")]
+    assert in_use == [F(1, 20), F(1, 10), F(1, 5), F(1, 5)]
+    # SurveyConfig stores the exact value, as given or by default
+    assert SurveyConfig(d=2, X=5, samples=3, eps=0.2).eps == F(1, 5)
+    assert SurveyConfig(d=2, X=5, samples=3).eps == F(1, 10)
 
 
 def test_classify_places_examples():

@@ -529,6 +529,11 @@ def test_rational_prep_examples():
     assert rational_prep(MonicPoly.from_text("z^2+1")) == []
 
 
+def test_rational_prep_refuses_a_denominator_bound_above_a_million():
+    with pytest.raises(preperiodic.CapExceeded, match="1000003 > 10\\^6"):
+        rational_prep(MonicPoly.from_text("z^2+(1/1000003)z"))
+
+
 def test_rational_prep_forward_invariant(rng):
     for _ in range(10):
         f = sample(2, 6, rng)
