@@ -20,8 +20,13 @@ again by companion-matrix eigenvalues.
 One generator (_tree_levels) builds the full preimage tree level by level.
 Level n is the pullback d^-n (f^n)^* of the root's mass, which tends to the
 equilibrium measure mu_f: equilibrium_sample returns one level, and
-arch_pairing averages Green's functions over the last three.  Nothing here
-draws random numbers.
+arch_pairing averages Green's functions over the last three.  Every f has
+rational, so real, coefficients, so a level over a real root is closed
+under complex conjugation, and G(conj z) = G(z) bit for bit.  Each level is
+stored folded: one point of each conjugate pair, with weight 2, and the real
+points, with weight 1.  Only the kept points are solved for and have their
+Green's function evaluated, about half the tree.  Nothing here draws random
+numbers.
 """
 
 from __future__ import annotations
@@ -85,13 +90,19 @@ def green_arch_many(f: MonicPoly, zs: np.ndarray, tol: float = 1e-12) -> np.ndar
     until it passes |z| = 10^(250/d), where d^-n log|z_n| is its value, or
     until the first n >= n_tol that finds it inside R, where it is bounded
     (G = 0); n_tol is one step past the depth that puts the bound below tol.
-    Only the points still active are iterated.
+    The test comes before each step, from n = 0, so a point already past
+    10^(250/d) is never raised to the d-th power, which could overflow.
+    Only the points still active are iterated.  Raises ValueError for a
+    non-finite point.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    zs = np.asarray(zs, dtype=complex)
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("Green's function point is not finite")
     d = f.d
     if _is_power_map(f):
-        a = np.abs(np.asarray(zs, dtype=complex))
+        a = np.abs(zs)
         with np.errstate(divide="ignore"):
             return np.where(a > 1.0, np.log(np.maximum(a, 1.0)), 0.0)
     R = _arch_params(f)
@@ -100,12 +111,12 @@ def green_arch_many(f: MonicPoly, zs: np.ndarray, tol: float = 1e-12) -> np.ndar
     z_cap = 10.0 ** (250.0 / d)
     coeffs = f.float_coeffs()
 
-    zs = np.asarray(zs, dtype=complex)
     out = np.zeros(zs.size, dtype=float)
     idx = np.arange(zs.size)  # the active points, compacted
     z = zs.ravel()
-    for n in range(1, n_tol + 61):
-        z = _horner(coeffs, z)
+    for n in range(n_tol + 61):
+        if n:
+            z = _horner(coeffs, z)
         absz = np.abs(z)
         done = absz > z_cap
         out[idx[done]] = np.log(absz[done]) * (d ** (-float(n)))
@@ -382,14 +393,65 @@ def _preimages_batch(f: MonicPoly, targets: np.ndarray) -> np.ndarray:
     return roots
 
 
+def _fold_real_rows(coeffs: np.ndarray, roots: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows of roots of f(w) = t, t real, folded under conjugation: the kept
+    points and their weights, as flat arrays.
+
+    Each root is matched to the root nearest its conjugate.  A row pairs up
+    when every match is mutual, each root matched with another has its
+    partner in the other half-plane, and each root matched with itself
+    still passes the residual check with its imaginary part set to exactly
+    0.  Such a row keeps its real roots, made exactly real, with weight 1,
+    and of each conjugate pair the root in the upper half-plane, with
+    weight 2.  A row that does not pair up keeps every root, with weight 1.
+    """
+    rows, own = np.arange(len(t))[:, None], np.arange(roots.shape[1])
+    near = np.abs(roots[:, None, :] - roots.conj()[:, :, None]).argmin(axis=2)
+    real = near == own
+    upper = roots.imag > 0
+    ok = (near[rows, near] == own) & (real | (upper != upper[rows, near]))
+    if (real & (roots.imag != 0)).any():  # a root already real passed this check
+        ok &= ~real | _within_tolerance(coeffs, np.where(real, roots.real, roots), t)
+    ok = ok.all(axis=1)[:, None]
+    keep = ~ok | real | upper
+    return np.where(ok & real, roots.real, roots)[keep], np.where(ok & ~real, 2, 1)[keep]
+
+
 def _tree_levels(f: MonicPoly, z: np.ndarray, n: int):
-    """Levels 0..n of the full preimage tree of the points z: level k is all
-    d^k len(z) solutions w of f^k(w) = t, t in z, each level solved from the
-    last at once (_preimages_batch)."""
-    yield z
+    """Levels 0..n of the full preimage tree of the points z, folded under
+    complex conjugation: level k is (points, weights), where weight 1
+    stands for the point alone and weight 2 for the point and its
+    conjugate, so that the weighted points are all d^k len(z) solutions w
+    of f^k(w) = t, t in z.  Each level is solved from the last at once
+    (_preimages_batch).
+
+    f has real coefficients, so the solutions over a target's conjugate are
+    the conjugates of those over the target, and the children of a weight-2
+    point have weight 2.  A real weight-1 point has a row closed under
+    conjugation, and _fold_real_rows keeps its real roots and one root of
+    each conjugate pair.  Other weight-1 points have weight-1 children: a
+    tree from a non-real root never folds, and is the unfolded tree.  The
+    mirror images are exact: Horner's rule with real coefficients commutes
+    with conjugation in floating point, up to the sign of a zero, so a
+    dropped conjugate has its partner's residual, and G(conj w) = G(w).
+    """
+    coeffs, d = f.float_coeffs(), f.d
+    w = np.ones(z.shape, dtype=np.int64)
+    total = z.size
+    yield z, w
     for _ in range(n):
-        z = _preimages_batch(f, z).reshape(-1)
-        yield z
+        roots = _preimages_batch(f, z)
+        fold = (w == 1) & (z.imag == 0)
+        if fold.any():
+            pts, wts = _fold_real_rows(coeffs, roots[fold], z.real[fold])
+            rest = ~fold
+            z = np.concatenate([roots[rest].ravel(), pts])
+            w = np.concatenate([np.repeat(w[rest], d), wts])
+        else:
+            z, w = roots.ravel(), np.repeat(w, d)
+        total *= d
+        assert w.sum() == total, "a folded tree level lost weight"
+        yield z, w
 
 
 def _tree_depth(d: int, N: int) -> int:
@@ -411,15 +473,20 @@ def equilibrium_sample(f: MonicPoly, N: int) -> EquilibriumSample:
     order k <= d are those of mu_f exactly: the power sums of the roots of
     f(w) = t depend on t only at k = d, and there through t itself, whose
     mean over level n - 1 >= 1 is exact.  Deterministic.
+
+    The level is returned unfolded (_tree_levels): each kept point of a
+    conjugate pair and its conjugate.  Where the walk ends at a non-real
+    root nothing folds, and the points are in tree order; otherwise their
+    order is the folded level's followed by the conjugates.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     z = np.array([_arch_params(f) + 1.0], dtype=complex)
     for _ in range(20):
         z = _preimages_batch(f, z)[:, 0]
-    for z in _tree_levels(f, z, _tree_depth(f.d, N)):
+    for z, w in _tree_levels(f, z, _tree_depth(f.d, N)):
         pass  # only the last level is kept
-    return EquilibriumSample(points=z, poly=f)
+    return EquilibriumSample(points=np.concatenate([z, z[w == 2].conj()]), poly=f)
 
 
 def moment(s: EquilibriumSample, k: int) -> complex:
@@ -459,13 +526,17 @@ def _tree_side(f: MonicPoly, g: MonicPoly, N: int) -> Tuple[float, float]:
     disconnected Julia sets.  The error, with G_g to tol = _PAIRING_TOL, is
     max(|E_{n-1} - E_n|, |E_{n-2} - E_{n-1}| / d) / (d - 1) + tol E_n; the
     last step alone can be small by accident where E_k converges unevenly.
+
+    b is real, so the levels come folded under conjugation (_tree_levels),
+    and E_k is the weighted mean sum w G_g(z) / d^k over the kept points:
+    G_g(conj z) = G_g(z), so it is the mean over the whole level.
     """
     d = f.d
     n = _tree_depth(d, N)
     means = []  # E_{n-2}, E_{n-1}, E_n
-    for k, z in enumerate(_tree_levels(f, np.array([_arch_params(f) + 1.0], dtype=complex), n)):
+    for k, (z, w) in enumerate(_tree_levels(f, np.array([_arch_params(f) + 1.0], dtype=complex), n)):
         if k >= n - 2:
-            means.append(float(np.mean(green_arch_many(g, z, _PAIRING_TOL))))
+            means.append(float(np.dot(w, green_arch_many(g, z, _PAIRING_TOL))) / d**k)
     e2, e1, e0 = means
     err = max(abs(e1 - e0), abs(e2 - e1) / d) / (d - 1) + _PAIRING_TOL * e0
     return e0 - 0.5 * (e1 - e0) / (d - 1), err

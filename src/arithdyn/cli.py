@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--X", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--eps", type=str, default="0.1")
+    p.add_argument("--eps", type=str, help=f"default {SurveyConfig.eps}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m-cap", type=int, help=f"prep survey; default {SurveyConfig.m_cap}")
     p.add_argument("--n-cap", type=int, help=f"prep survey; default {SurveyConfig.n_cap}")
@@ -175,11 +175,11 @@ def _run(args) -> int:
         _emit({"ordinary": ok, "witness": witness, "X": args.X, "eps": args.eps})
     elif args.cmd == "survey":
         if args.kind == "prep":
-            given = _given(args, ("d", "X", "samples", "seed") + _PREP_ONLY)
-            cfg = SurveyConfig(eps=Fraction(args.eps), **given)
-            _emit(survey_average_prep(cfg).to_json())
+            given = _given(args, ("d", "X", "samples", "eps", "seed") + _PREP_ONLY)
+            _emit(survey_average_prep(SurveyConfig(**given)).to_json())
         else:
-            res = survey_ordinary(args.d, args.X, Fraction(args.eps), args.samples, args.seed)
+            eps = SurveyConfig.eps if args.eps is None else Fraction(args.eps)
+            res = survey_ordinary(args.d, args.X, eps, args.samples, args.seed)
             _emit(res.to_json())
     elif args.cmd == "robin":
         f = _poly_arg(args.f)

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from arithdyn import archimedean
 from arithdyn import (
@@ -52,6 +53,29 @@ def test_green_chebyshev_oracle():
 def test_green_tol_validation():
     with pytest.raises(ValueError):
         green_arch(CHEB, 1j, tol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("power", [False, True])
+def test_green_of_far_points_does_not_overflow(d, power):
+    """A point past 10^(250/d) is read off at n = 0: one more step would
+    overflow its d-th power to inf above about 10^(308/d)."""
+    f = MonicPoly.make(d) if power else MonicPoly.make(d, {0: F(1, 3), 1: F(-1)})
+    zs = np.array([10.0 ** (300.0 / d), -1j * 10.0 ** (300.0 / d)])
+    assert np.allclose(green_arch_many(f, zs), (300.0 / d) * math.log(10.0), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("power", [False, True])
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0), complex(-np.inf, 1)])
+def test_green_rejects_non_finite_points(d, power, bad):
+    f = MonicPoly.make(d) if power else MonicPoly.make(d, {0: F(1, 3), 1: F(-1)})
+    zs = np.linspace(-1, 1, 9).astype(complex)
+    zs[4] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        green_arch_many(f, zs)
+    with pytest.raises(ValueError, match="not finite"):
+        green_arch(f, bad)
 
 
 def test_green_functional_equation(rng):
@@ -321,6 +345,96 @@ def test_arch_pairing_is_deterministic_and_symmetric():
     swapped = arch_pairing(g, f, 2000)
     assert swapped.value == ap.value and swapped.err == ap.err
     assert (swapped.side_fg, swapped.side_gf) == (ap.side_gf, ap.side_fg)
+
+
+def _nearest(a: np.ndarray, b: np.ndarray):
+    """(distance, index) of the point of b nearest each point of a."""
+    return cKDTree(np.column_stack([b.real, b.imag])).query(np.column_stack([a.real, a.imag]))
+
+
+def _unfold(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.concatenate([z, z[w == 2].conj()])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(_small_rationals, min_size=d, max_size=d)))
+def test_folded_tree_unfolds_to_the_full_tree(coeffs):
+    """Each folded level, unfolded, is the level that solving every point
+    without folding gives, as a multiset within 1e-12 max|z|; its weights
+    sum to d^k, and every point passes the residual check against the
+    point of the level above that it solves f(w) = t for."""
+    f = MonicPoly(tuple(coeffs))
+    d, n = f.d, archimedean._tree_depth(f.d, 1000)
+    root = np.array([archimedean._arch_params(f) + 1.0], dtype=complex)
+    full = [root]
+    for _ in range(n):
+        full.append(_preimages_batch(f, full[-1]).reshape(-1))
+    above = None
+    for k, ((z, w), ref) in enumerate(zip(archimedean._tree_levels(f, root, n), full)):
+        level = _unfold(z, w)
+        assert w.sum() == d**k and level.size == d**k
+        dist, idx = _nearest(level, ref)
+        assert np.max(dist) <= 1e-12 * np.max(np.abs(ref))
+        assert np.unique(idx).size == idx.size  # a matching, so the multisets agree
+        if above is not None:
+            t = above[_nearest(f(level), above)[1]]
+            assert archimedean._within_tolerance(f.float_coeffs(), level[:, None], t).all()
+        above = level
+
+
+def test_folded_tree_solves_about_half_the_rows(monkeypatch):
+    """At d = 5 and N = 4000 the tree has 3906 rows over its 6 solved levels;
+    folded, each side solves the real rows and one row of each conjugate pair."""
+    f = MonicPoly.from_text("z^5-3z^4+(1/6)z^3+(10/3)z^2+(3/8)z-(7/5)")
+    g = MonicPoly.from_text("z^5-(5/7)z^3-(4/3)z^2+10z+(9/4)")
+    solve, rows = archimedean._preimages_batch, []
+
+    def counting(h, t):
+        rows.append(len(t))
+        return solve(h, t)
+
+    monkeypatch.setattr(archimedean, "_preimages_batch", counting)
+    for a, b in ((f, g), (g, f)):
+        rows.clear()
+        archimedean._tree_side(a, b, 4000)
+        assert len(rows) == 6 and sum(rows) <= 1960
+
+
+def _unfolded_side(f: MonicPoly, g: MonicPoly, N: int):
+    """_tree_side's estimate and error over the tree solved point by point, unfolded."""
+    d, n = f.d, archimedean._tree_depth(f.d, N)
+    levels = [np.array([archimedean._arch_params(f) + 1.0], dtype=complex)]
+    for _ in range(n):
+        levels.append(archimedean._preimages_batch(f, levels[-1]).reshape(-1))
+    e2, e1, e0 = (np.mean(green_arch_many(g, z, archimedean._PAIRING_TOL)) for z in levels[-3:])
+    err = max(abs(e1 - e0), abs(e2 - e1) / d) / (d - 1) + archimedean._PAIRING_TOL * e0
+    return e0 - 0.5 * (e1 - e0) / (d - 1), err
+
+
+def test_tree_keeps_a_row_that_does_not_pair_whole(monkeypatch):
+    """A real target's row that repeats a root, as a solve at a double root
+    can, has no mutual conjugate matching: it is kept whole, with weight 1
+    on every root, and the pairing is that of the unfolded tree."""
+    f = MonicPoly.from_text("z^3-(5/4)z^2+(3/10)z-(9/4)")
+    g = MonicPoly.from_text("z^3+(7/6)z+(2/3)")
+    b = archimedean._arch_params(f) + 1.0
+    solve = archimedean._preimages_batch
+
+    def unpairable(h, t):
+        roots = solve(h, t)
+        if h == f and np.array_equal(t, [b]):
+            roots[0, np.argmin(roots[0].imag)] = roots[0, np.argmax(roots[0].imag)]
+        return roots
+
+    monkeypatch.setattr(archimedean, "_preimages_batch", unpairable)
+    levels = list(archimedean._tree_levels(f, np.array([b], dtype=complex), 2))
+    z1, w1 = levels[1]
+    assert z1.size == 3 and np.array_equal(w1, [1, 1, 1])
+    assert levels[2][1].sum() == 9 and np.count_nonzero(levels[2][1] == 2) == 1
+    ap = arch_pairing(f, g, 2000)
+    (side_fg, err_fg), (side_gf, err_gf) = _unfolded_side(g, f, 2000), _unfolded_side(f, g, 2000)
+    assert ap.side_fg == pytest.approx(side_fg, rel=1e-12) and ap.side_gf == pytest.approx(side_gf, rel=1e-12)
+    assert ap.value == pytest.approx(0.5 * (side_fg + side_gf), rel=1e-12)
 
 
 _pairing_cases = st.tuples(st.integers(2, 5), st.sampled_from((2, 10, 100))).flatmap(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import pathlib
 import shlex
 from fractions import Fraction
@@ -187,6 +188,36 @@ def test_survey_config_takes_exact_eps_and_library_caps(capsys, monkeypatch, ext
     code, _, _ = run_cli(capsys, *args, *extra)
     (cfg,) = seen
     assert code == 0 and cfg.eps == eps and (cfg.m_cap, cfg.n_cap) == caps
+
+
+@pytest.mark.parametrize("kind", ["prep", "ordinary"])
+@pytest.mark.parametrize("extra, eps", [((), Fraction(1, 10)), (("--eps", "1/7"), Fraction(1, 7))])
+def test_survey_eps_defaults_to_survey_config(capsys, monkeypatch, kind, extra, eps):
+    seen = []
+
+    def prep(cfg):
+        seen.append(cfg.eps)
+        return SimpleNamespace(to_json=dict)
+
+    def ordinary(d, X, eps, samples, seed):
+        seen.append(eps)
+        return SimpleNamespace(to_json=dict)
+
+    monkeypatch.setattr("arithdyn.cli.survey_average_prep", prep)
+    monkeypatch.setattr("arithdyn.cli.survey_ordinary", ordinary)
+    args = ("survey", "--kind", kind, "--d", "2", "--X", "5", "--samples", "3")
+    code, _, _ = run_cli(capsys, *args, *extra)
+    assert code == 0 and seen == [eps] and type(seen[0]) is Fraction
+
+
+def test_green_of_far_and_non_finite_points(capsys):
+    code, out, _ = run_cli(capsys, "height", "z^2-2", "--point", "1e200")
+    assert code == 0 and json.loads(out)["canonical_height"] == pytest.approx(200 * math.log(10), abs=1e-9)
+    code, out, _ = run_cli(capsys, "green", "z^2-2", "1e300")
+    assert code == 0 and json.loads(out)["green"] == pytest.approx(300 * math.log(10), abs=1e-9)
+    for poly, z in (("z^2-2", "inf"), ("z^2", "nan,0")):
+        code, out, err = run_cli(capsys, "green", poly, z)
+        assert (code, out) == (2, "") and "not finite" in err
 
 
 def test_readme_cli_examples_parse():
