@@ -410,8 +410,7 @@ def _fold_real_rows(coeffs: np.ndarray, roots: np.ndarray, t: np.ndarray) -> Tup
     real = near == own
     upper = roots.imag > 0
     ok = (near[rows, near] == own) & (real | (upper != upper[rows, near]))
-    if (real & (roots.imag != 0)).any():  # a root already real passed this check
-        ok &= ~real | _within_tolerance(coeffs, np.where(real, roots.real, roots), t)
+    ok &= ~real | _within_tolerance(coeffs, np.where(real, roots.real, roots), t)
     ok = ok.all(axis=1)[:, None]
     keep = ~ok | real | upper
     return np.where(ok & real, roots.real, roots)[keep], np.where(ok & ~real, 2, 1)[keep]
@@ -442,13 +441,9 @@ def _tree_levels(f: MonicPoly, z: np.ndarray, n: int):
     for _ in range(n):
         roots = _preimages_batch(f, z)
         fold = (w == 1) & (z.imag == 0)
-        if fold.any():
-            pts, wts = _fold_real_rows(coeffs, roots[fold], z.real[fold])
-            rest = ~fold
-            z = np.concatenate([roots[rest].ravel(), pts])
-            w = np.concatenate([np.repeat(w[rest], d), wts])
-        else:
-            z, w = roots.ravel(), np.repeat(w, d)
+        pts, wts = _fold_real_rows(coeffs, roots[fold], z.real[fold])
+        z = np.concatenate([roots[~fold].ravel(), pts])
+        w = np.concatenate([np.repeat(w[~fold], d), wts])
         total *= d
         assert w.sum() == total, "a folded tree level lost weight"
         yield z, w

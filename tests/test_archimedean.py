@@ -7,7 +7,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.spatial import cKDTree
 
 from arithdyn import archimedean
 from arithdyn import (
@@ -349,6 +348,8 @@ def test_arch_pairing_is_deterministic_and_symmetric():
 
 def _nearest(a: np.ndarray, b: np.ndarray):
     """(distance, index) of the point of b nearest each point of a."""
+    from scipy.spatial import cKDTree
+
     return cKDTree(np.column_stack([b.real, b.imag])).query(np.column_stack([a.real, a.imag]))
 
 
@@ -380,6 +381,18 @@ def test_folded_tree_unfolds_to_the_full_tree(coeffs):
             t = above[_nearest(f(level), above)[1]]
             assert archimedean._within_tolerance(f.float_coeffs(), level[:, None], t).all()
         above = level
+
+
+def test_tree_over_a_non_real_point_does_not_fold():
+    """No level over a non-real point has a real target, so each is the
+    level that solving every point gives, bit for bit, with weight 1 on
+    every point: the walks of equilibrium_sample that end at a non-real
+    root give the unfolded tree."""
+    f = MonicPoly.from_text("z^3-(5/4)z^2+(3/10)z-(9/4)")
+    full = np.array([0.5 + 1.5j])
+    for k, (z, w) in enumerate(archimedean._tree_levels(f, full, 4)):
+        assert np.array_equal(z, full) and np.array_equal(w, np.ones(3**k))
+        full = _preimages_batch(f, full).reshape(-1)
 
 
 def test_folded_tree_solves_about_half_the_rows(monkeypatch):
