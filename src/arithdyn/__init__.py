@@ -16,7 +16,6 @@ from .rationals import (
     abs_at,
     count_rationals_upto,
     factorize,
-    product_formula_defect,
     radical,
     weil_height,
 )
@@ -44,13 +43,11 @@ from .archimedean import (
     moment,
 )
 from .nonarchimedean import (
-    BadPlaceError,
     BerkSetDescriptor,
     NewtonPolygon,
     StrataHypothesisError,
     StrataMeasure,
     capacity_union,
-    green_nonarch,
     julia_shells,
     mass_outside_unit,
     newton_polygon,
@@ -67,10 +64,7 @@ from .heights import (
     PlaceEntry,
     canonical_height,
     canonical_height_alg,
-    equidistribution_bounds,
-    fudge_min,
     global_pairing,
-    local_pairing,
     pairing_bounds,
     sandwich_check,
 )

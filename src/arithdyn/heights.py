@@ -1,5 +1,6 @@
-"""Canonical heights of rational and algebraic points, per-place and global
-energy pairings with exactness tags, and the bound/sandwich evaluators.
+"""Canonical heights of rational and algebraic points, global energy pairings
+with per-place exactness tags, their sampling-free enclosure, and the height
+sandwich check.
 
 Per-place pairing contributions are exact at places where one polynomial has
 a single large coefficient and everything else is small (the value is then
@@ -15,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .archimedean import arch_pairing, green_arch, holder_constants
+from .archimedean import arch_pairing, green_arch
 from .polynomials import MonicPoly, height, local_profile
 from .rationals import LogValue, PlaceQ, Rat, factorize, ord_p
 
@@ -30,12 +31,9 @@ __all__ = [
     "PlaceEntry",
     "PairingReport",
     "BoundReport",
-    "local_pairing",
     "global_pairing",
     "pairing_bounds",
     "sandwich_check",
-    "fudge_min",
-    "equidistribution_bounds",
     "DegreeCapExceeded",
 ]
 
@@ -297,38 +295,18 @@ class BoundReport:
     lhs: float
     rhs: float
     satisfied: bool
-    shape_only: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "shape_only": self.shape_only,
-        }
-
-
-def local_pairing(f: MonicPoly, g: MonicPoly, v: PlaceQ) -> PlaceEntry:
-    """-(mu_f, mu_g)_v at a finite place.
-
-    Good place (exactly one large coefficient across the pair): exact value
-    (1/d)(log M_{f,v} + log M_{g,v}).  Bad place: the interval
-    [0, (1/d)(log M_{f,v} + log M_{g,v})] -- an honest enclosure, never a
-    point estimate (no exact local formula exists there).
-    """
-    if v.is_arch:
-        raise ValueError("local_pairing is for finite places; use arch_pairing")
-    if f.d != g.d:
-        raise ValueError("pairing formulas require equal degrees")
-    return _place_entry(f, g, v.p)
 
 
 def _place_entry(f: MonicPoly, g: MonicPoly, p: int) -> PlaceEntry:
-    """local_pairing at the prime p, read off the two place tables."""
+    """-(mu_f, mu_g)_p at a prime p of either place table (so at least one
+    coefficient of the pair is large at p), read off the two tables.
+
+    Good place (exactly one large coefficient across the pair): exact value
+    (1/d)(log M_{f,p} + log M_{g,p}).  Bad place: the interval
+    [0, (1/d)(log M_{f,p} + log M_{g,p})] -- an honest enclosure, never a
+    point estimate (no exact local formula exists there).
+    """
     large = len(f._large(p)) + len(g._large(p))
-    if large == 0:
-        return PlaceEntry(str(p), "exact", "trivial", 0.0, 0.0, LogValue.zero())
     q = Fraction(f._m_exp(p) + g._m_exp(p), f.d)
     x = float(q) * math.log(p)
     if large == 1:
@@ -420,47 +398,3 @@ def sandwich_check(f: MonicPoly, g: MonicPoly, X: int, N: int = 1000) -> List[Bo
             mean_height <= two_log_x + 1e-9,
         ),
     ]
-
-
-def fudge_min(d: int, j: int, log_aj: Rat) -> Fraction:
-    """inf over the Berkovich line of G_f + G_g - (1/2) log|.| at a place
-    associated to a_j: (1/(2(d-j))) log|a_j| when j <= (d-1)/2, else
-    ((d-j-1)/(2j(d-j))) log|a_j|.  Units of log p."""
-    if not (1 <= j <= d - 1):
-        raise ValueError("need 1 <= j <= d-1")
-    la = Fraction(log_aj)
-    if la <= 0:
-        raise ValueError("log|a_j|_v must be positive")
-    if 2 * j <= d - 1:
-        return la / (2 * (d - j))
-    return la * Fraction(d - j - 1, 2 * j * (d - j))
-
-
-def _radius_family(f: MonicPoly, N: int) -> Dict[str, float]:
-    """Adelic radius eps_v = (dN)^(-1/alpha_v) at infinity and at the primes
-    of the denominators, each a bad place (it has a large coefficient)."""
-    d = f.d
-    # alpha = log d / log A, so eps = (dN)^(-1/alpha) = (dN)^(-log A / log d)
-    out: Dict[str, float] = {"inf": (d * N) ** (-1.0 / holder_constants(f).alpha)}
-    for p in f.denominator_primes():
-        A_v = math.exp(float(local_profile(f, PlaceQ.finite(p)).R)) ** (d - 1)
-        out[str(p)] = (d * N) ** (-math.log(A_v) / math.log(d))
-    return out
-
-
-def equidistribution_bounds(f: MonicPoly, g: MonicPoly, N: int) -> dict:
-    """Adelic radius family and the (constant-free) equidistribution RHS shape
-    d (log N / N)(max(h(f), h(g)) + 1).  Shape-only: the absolute constant in
-    the underlying bound is unspecified, so this is for monotonicity
-    experiments, not certified inequalities."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    rhs = f.d * (math.log(N) / N) * (max(float(height(f)), float(height(g))) + 1.0)
-    return {
-        "schema": 1,
-        "shape_only": True,
-        "radii_f": _radius_family(f, N),
-        "radii_g": _radius_family(g, N),
-        "rhs_shape": rhs,
-        "report": BoundReport("pairing_upper_shape", 0.0, rhs, True, shape_only=True).to_json(),
-    }

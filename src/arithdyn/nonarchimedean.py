@@ -1,6 +1,7 @@
 """Non-archimedean local theory: Newton polygons, the three-radius strata
 decomposition of the equilibrium measure at a one-large-coefficient place,
-piecewise Green's functions, and capacities of the special Berkovich sets.
+capacities of the special Berkovich sets, and provable radius supports of
+filled Julia sets.
 
 All radii and energies at a finite place p are exact rational multiples of
 log p and are carried as Fractions (the log p factor is implicit in this
@@ -24,19 +25,13 @@ __all__ = [
     "StrataMeasure",
     "strata",
     "strata_pullback_simulate",
-    "green_nonarch",
     "capacity_union",
     "mass_outside_unit",
     "julia_shells",
     "shells_certify_disjoint",
     "BerkSetDescriptor",
-    "BadPlaceError",
     "StrataHypothesisError",
 ]
-
-
-class BadPlaceError(ValueError):
-    """Raised where only interval bounds exist (no exact local formula)."""
 
 
 class StrataHypothesisError(ValueError):
@@ -192,38 +187,6 @@ def strata_pullback_simulate(d: int, j: int) -> Tuple[Fraction, Fraction, Fracti
     x0, x1, x2 = (Fraction(int(c.numerator), int(c.denominator)) for c in kernel[0])
     total = x0 + x1 + x2
     return (x0 / total, x1 / total, x2 / total)
-
-
-def green_nonarch(f: MonicPoly, v: PlaceQ, log_radius: Rat) -> Tuple[Fraction, bool]:
-    """Green's function value at the point zeta(0, p^t), t = log_radius.
-
-    Returns (q, upper_bound_only) with the value q * log p.  Four-branch
-    piecewise form in the one-large-coefficient shape; explicit good reduction
-    gives log^+ of the radius.  On a stratum boundary the adjacent branches
-    agree and the value is flagged as an upper bound only.
-    """
-    if v.is_arch:
-        raise ValueError("green_nonarch is for finite places")
-    t = Fraction(log_radius)
-    try:
-        shape = _one_large(f, v.p)
-    except StrataHypothesisError as exc:
-        raise BadPlaceError(f"bad place p={v.p}: bounds only ({exc})") from exc
-    if shape is None:
-        return max(t, Fraction(0)), False
-    (j, m, (r1, r2, r3)), d = shape, f.d
-    if j == 0:
-        return max(t, r1), t == r1
-    on_boundary = t in (r1, r2, r3)
-    if t >= r1:
-        val = t
-    elif t >= r2:
-        val = (j * t + m) / d
-    elif t >= r3:
-        val = Fraction(j * j, d * d) * t + Fraction(j + 1, d * d) * m
-    else:
-        val = m / Fraction(d * d)
-    return val, on_boundary
 
 
 def capacity_union(s1_log: Rat, I1: Rat, I2: Rat) -> Fraction:

@@ -208,12 +208,11 @@ def _parse_poly_text(text: str) -> Dict[int, Fraction]:
 
 @dataclass(frozen=True)
 class LocalProfile:
-    """Local data of f at a place: exact log M_{f,v} and log R_{f,v}, reduction type."""
+    """Local data of f at a place: exact log M_{f,v} and log R_{f,v}."""
 
     place: PlaceQ
     M: LogValue
     R: LogValue
-    reduction: str  # "explicit-good" | "bad" | "archimedean"
 
 
 def local_profile(f: MonicPoly, v: PlaceQ) -> LocalProfile:
@@ -225,9 +224,7 @@ def local_profile(f: MonicPoly, v: PlaceQ) -> LocalProfile:
     if v.is_arch:
         return f._arch
     p = v.p
-    m_exp = f._m_exp(p)
-    red = "explicit-good" if m_exp == 0 else "bad"
-    return LocalProfile(v, LogValue.of_prime(p, m_exp), LogValue.of_prime(p, f._r_exp(p)), red)
+    return LocalProfile(v, LogValue.of_prime(p, f._m_exp(p)), LogValue.of_prime(p, f._r_exp(p)))
 
 
 def _arch_profile(f: MonicPoly) -> LocalProfile:
@@ -237,7 +234,7 @@ def _arch_profile(f: MonicPoly) -> LocalProfile:
     d = f.d
     big = [(i, abs(c)) for i, c in enumerate(f.coeffs) if abs(c) > 1]
     if not big:
-        return LocalProfile(PlaceQ.arch(), LogValue.zero(), LogValue.of_prime(3), "archimedean")
+        return LocalProfile(PlaceQ.arch(), LogValue.zero(), LogValue.of_prime(3))
     m = max(big, key=lambda t: t[1])
     r = big[0]
     for t in big[1:]:
@@ -250,7 +247,7 @@ def _arch_profile(f: MonicPoly) -> LocalProfile:
         for i in {m[0], r[0]}
     }
     R = logs[r[0]] * Fraction(1, d - r[0]) + LogValue.of_prime(3)
-    return LocalProfile(PlaceQ.arch(), logs[m[0]], R, "archimedean")
+    return LocalProfile(PlaceQ.arch(), logs[m[0]], R)
 
 
 def height(f: MonicPoly) -> LogValue:

@@ -32,7 +32,6 @@ __all__ = [
     "ord_p",
     "weil_height",
     "abs_at",
-    "product_formula_defect",
     "count_rationals_upto",
 ]
 
@@ -373,28 +372,6 @@ def abs_at(x: Rat, v: PlaceQ) -> Fraction:
         return abs(x)
     e = ord_p(x, v.p)
     return Fraction(1, v.p**e) if e >= 0 else Fraction(v.p ** (-e))
-
-
-def product_formula_defect(x: Rat, exact: bool = False):
-    """sum_v log|x|_v over all places; 0 by the product formula.
-
-    Float mode returns the residual of the floating evaluation (a self-test of
-    the place bookkeeping); exact mode returns the LogValue, which cancels to
-    the zero combination identically.
-    """
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("product_formula_defect requires x != 0")
-    primes = set(factorize(abs(x.numerator)).primes) | set(factorize(x.denominator).primes)
-    if exact:
-        total = LogValue.from_rational(abs(x))
-        for p in primes:
-            total = total + LogValue.of_prime(p, -ord_p(x, p))
-        return total
-    total = math.log(abs(x.numerator)) - math.log(x.denominator)
-    for p in primes:
-        total -= ord_p(x, p) * math.log(p)
-    return total
 
 
 def count_rationals_upto(X: int) -> int:

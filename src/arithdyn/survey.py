@@ -330,6 +330,8 @@ def _clopper_pearson(k: int, n: int) -> Tuple[float, float]:
 def survey_ordinary(d: int, X: int, eps, samples: int, seed: int = 0) -> OrdinaryResult:
     """Empirical proportion of generic (epsilon-ordinary) pairs in S(X), with
     its exact 95% interval (`_clopper_pearson`)."""
+    if samples < 1:
+        raise ValueError("sample count must be >= 1")
     master = np.random.SeedSequence(seed)
     children = master.spawn(samples)
     hits = 0

@@ -172,6 +172,14 @@ def test_ordinary_survey_rejects_prep_options(capsys, monkeypatch, tmp_path, opt
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["prep", "ordinary"])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_survey_sample_count_below_one_is_a_compute_error(capsys, kind, samples):
+    args = ("survey", "--kind", kind, "--d", "2", "--X", "10", "--samples", samples)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "") and err == "error: sample count must be >= 1\n"
+
+
 @pytest.mark.parametrize("extra, eps, caps", [
     (("--eps", "1/7"), Fraction(1, 7), (2, 1)),
     (("--m-cap", "3", "--n-cap", "2"), Fraction(1, 10), (3, 2)),

@@ -14,12 +14,9 @@ from arithdyn import (
     canonical_height,
     canonical_height_alg,
     classify_places,
-    equidistribution_bounds,
-    fudge_min,
     global_pairing,
     height,
     is_ordinary,
-    local_pairing,
     local_profile,
     pairing_bounds,
     sample,
@@ -255,17 +252,17 @@ def test_algebraic_point_validation():
     assert AlgebraicPoint.from_rational(F(3, 4)).degree == 1
 
 
-def test_local_pairing_examples():
+def test_pairing_bounds_finite_entries():
+    # a good-assoc place: exact (1/d)(log M_f + log M_g)
     f = MonicPoly.from_text("z^2+1/5")
     g = MonicPoly.from_text("z^2+(1/7)z+1/11")
-    e = local_pairing(f, g, PlaceQ.finite(5))
-    assert e.tag == "exact" and e.lo == pytest.approx(0.5 * math.log(5))
-    both_good = local_pairing(MonicPoly.make(2), CHEB, PlaceQ.finite(3))
-    assert both_good.tag == "exact" and both_good.hi == 0.0
-    e2 = local_pairing(
-        MonicPoly.from_text("z^2+1/6"), MonicPoly.from_text("z^2+1/10"), PlaceQ.finite(2)
-    )
-    assert e2.tag == "interval" and e2.lo == 0.0
+    e = pairing_bounds(f, g).entries[0]
+    assert e.place == "5" and e.tag == "exact" and e.provenance == "good-assoc"
+    assert e.lo == e.hi == pytest.approx(0.5 * math.log(5))
+    # a bad place: the interval [0, (1/d)(log M_f + log M_g)]
+    e2 = pairing_bounds(MonicPoly.from_text("z^2+1/6"), MonicPoly.from_text("z^2+1/10")).entries[0]
+    assert e2.place == "2" and e2.tag == "interval" and e2.provenance == "bad"
+    assert e2.lo == 0.0
     assert e2.hi == pytest.approx(0.5 * (math.log(2) + math.log(2)))
 
 
@@ -382,35 +379,3 @@ def test_only_global_pairing_takes_an_rng():
         and "rng" in inspect.signature(getattr(module, name)).parameters
     ]
     assert takes_rng == ["arithdyn.heights.global_pairing"]
-
-
-def test_fudge_min_examples():
-    assert fudge_min(3, 1, F(1)) == F(1, 4)
-    assert fudge_min(3, 2, F(1)) == 0
-    assert fudge_min(5, 3, F(1)) == F(1, 12)
-    # both branches agree at j = (d-1)/2
-    assert fudge_min(5, 2, F(1)) == F(1, 6)
-    assert fudge_min(7, 3, F(2)) == F(2, 8)
-    with pytest.raises(ValueError):
-        fudge_min(3, 0, F(1))
-    with pytest.raises(ValueError):
-        fudge_min(3, 1, F(-1))
-
-
-def test_equidistribution_bounds():
-    # f = z^2 + 1/4 at p=2: R = 2, A = R^(d-1) = 2 = d, alpha = 1, eps = 1/(dN)
-    f = MonicPoly.from_text("z^2+1/4")
-    g = MonicPoly.make(2)
-    out = equidistribution_bounds(f, g, 100)
-    assert out["shape_only"] is True
-    assert out["radii_f"]["2"] == pytest.approx(1 / 200)
-    assert out["radii_g"] == {"inf": out["radii_g"]["inf"]}  # good everywhere else
-    # explicit-good place radius is 1
-    out2 = equidistribution_bounds(MonicPoly.from_text("z^3+5z"), g, 100)
-    assert all(v == 1.0 for k, v in out2["radii_f"].items() if k != "inf")
-    # doubling N roughly halves the shape
-    r1 = equidistribution_bounds(f, g, 10**4)["rhs_shape"]
-    r2 = equidistribution_bounds(f, g, 2 * 10**4)["rhs_shape"]
-    assert 0.4 < r2 / r1 < 0.6
-    with pytest.raises(ValueError):
-        equidistribution_bounds(f, g, 1)

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from arithdyn import (
-    BadPlaceError,
     MonicPoly,
     PlaceQ,
     StrataHypothesisError,
     capacity_union,
-    green_nonarch,
     julia_shells,
     mass_outside_unit,
     newton_polygon,
@@ -127,73 +125,6 @@ def test_zero_energy_identity_exact():
                 f = MonicPoly.make(d, coeffs)
                 s = strata(f, PlaceQ.finite(2))
                 assert s.zero_energy_residual() == 0
-
-
-def test_green_nonarch_branches():
-    # explicit good: log^+ radius
-    f0 = MonicPoly.make(2, {0: F(3)})
-    assert green_nonarch(f0, PlaceQ.finite(5), F(0)) == (F(0), False)
-    assert green_nonarch(f0, PlaceQ.finite(5), F(2)) == (F(2), False)
-    assert green_nonarch(f0, PlaceQ.finite(5), F(-1)) == (F(0), False)
-    # one large coefficient, d=3, j=1, m=1
-    f = MonicPoly.make(3, {1: F(1, 5), 0: F(1)})
-    v = PlaceQ.finite(5)
-    # Gauss point: (1/d) log M
-    val, flag = green_nonarch(f, v, F(0))
-    assert val == F(1, 3) and not flag
-    # deep inside: (1/d^2) log|a_j|
-    val, flag = green_nonarch(f, v, F(-7))
-    assert val == F(1, 9)
-    # outside r1: log radius
-    val, flag = green_nonarch(f, v, F(3))
-    assert val == F(3)
-
-
-def test_green_nonarch_monotone_and_continuous():
-    f = MonicPoly.make(4, {1: F(1, 9), 0: F(2)})  # |a_1|_3 = 9, m=2
-    v = PlaceQ.finite(3)
-    s = strata(f, v)
-    r1, r2, r3 = s.log_radii
-    grid = sorted(
-        {r1, r2, r3, r1 + 1, r2 + F(1, 7), r3 - F(1, 3), F(0), r3 - 5, r1 + F(1, 2)}
-    )
-    vals = [green_nonarch(f, v, t)[0] for t in grid]
-    for a, b in zip(vals, vals[1:]):
-        assert a <= b
-    # boundary values equal adjacent-branch limits and are flagged
-    for t in (r1, r2, r3):
-        val, flag = green_nonarch(f, v, t)
-        assert flag
-        eps = F(1, 10**6)
-        lo = green_nonarch(f, v, t - eps)[0]
-        hi = green_nonarch(f, v, t + eps)[0]
-        assert lo <= val <= hi
-
-
-def test_green_nonarch_constant_shell_and_gauss_property():
-    # only the constant coefficient large: G = max(log radius, m/d)
-    f = MonicPoly.make(3, {0: F(1, 25)})
-    v = PlaceQ.finite(5)
-    assert green_nonarch(f, v, F(0)) == (F(2, 3), False)
-    assert green_nonarch(f, v, F(-4)) == (F(2, 3), False)
-    assert green_nonarch(f, v, F(1)) == (F(1), False)
-    assert green_nonarch(f, v, F(2, 3)) == (F(2, 3), True)
-    # Gauss-point value is (1/d) log M for every one-large shape
-    for d in range(2, 7):
-        for j in range(0, d):
-            for m in (1, 2):
-                coeffs = {j: F(1, 7**m)}
-                if j > 0:
-                    coeffs[0] = F(1)
-                g = MonicPoly.make(d, coeffs)
-                val, _ = green_nonarch(g, PlaceQ.finite(7), F(0))
-                assert val == F(m, d)
-
-
-def test_green_nonarch_bad_place_error():
-    two_large = MonicPoly.make(3, {2: F(1, 2), 0: F(1, 2)})
-    with pytest.raises(BadPlaceError, match="bounds only"):
-        green_nonarch(two_large, PlaceQ.finite(2), F(0))
 
 
 def test_capacity_union_examples():

@@ -13,7 +13,6 @@ from arithdyn import (
     abs_at,
     count_rationals_upto,
     factorize,
-    product_formula_defect,
     radical,
     weil_height,
 )
@@ -120,23 +119,15 @@ def test_place_validation():
     assert str(PlaceQ.finite(7)) == "7"
 
 
-def test_product_formula_examples():
-    assert abs(product_formula_defect(F(6, 35))) < 1e-12
-    assert product_formula_defect(F(1)) == 0.0
-    with pytest.raises(ValueError):
-        product_formula_defect(F(0))
-
-
-def test_product_formula_property():
-    rng = np.random.default_rng(3)
-    for _ in range(10**4):
-        a = int(rng.integers(-5000, 5000)) or 1
-        b = int(rng.integers(1, 5000))
-        x = F(a, b)
-        assert abs(product_formula_defect(x)) <= 1e-12
-    # exact bookkeeping cancels identically
-    for x in (F(6, 35), F(-64, 81), F(123456, 789)):
-        assert product_formula_defect(x, exact=True) == LogValue.zero()
+@given(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
+def test_product_formula_property(a, b):
+    # sum_v log|x|_v = 0: log|x| at infinity cancels the finite places exactly
+    x = F(a, b)
+    primes = trial_division_factor(abs(x.numerator)).keys() | trial_division_factor(x.denominator).keys()
+    total = LogValue.from_rational(abs(x))
+    for p in primes:
+        total = total + LogValue.of_prime(p, -ord_p(x, p))
+    assert total == LogValue.zero()
 
 
 def test_count_rationals_small():

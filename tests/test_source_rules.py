@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import re
 
@@ -39,3 +40,47 @@ def test_import_loads_no_heavy_dependency():
     # sympy alone costs about 0.45 s of CPU to import, so sympy, mpmath and
     # scipy are imported inside the functions that need them.
     assert heavy_modules_loaded("import arithdyn") == set()
+
+
+def _exports(tree: ast.Module):
+    """The literal __all__ of a parsed module, or None when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _top_level_names(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_all_lists_name_only_what_their_modules_define():
+    # The benchmark's tracer calls getattr on every __all__ name of every
+    # layer module, so a stale entry would break each traced run.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    exports = {name: _exports(tree) for name, tree in trees.items()}
+    layers = {name: names for name, names in exports.items() if names is not None}
+    assert layers
+    undefined = [
+        f"{name}.{n}" for name, names in layers.items() for n in names
+        if n not in _top_level_names(trees[name])
+    ]
+    assert not undefined, undefined
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if node.level != 1 or alias.name not in (layers.get(node.module) or ())
+    ]
+    assert not unlisted, unlisted

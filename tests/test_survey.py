@@ -117,6 +117,16 @@ def test_survey_ordinary_large_x_regression():
     assert 0.65 <= res.proportion <= 0.78
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_survey_ordinary_refuses_a_sample_count_below_one(monkeypatch, samples):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the sample count was checked")
+
+    monkeypatch.setattr("arithdyn.survey.sample", no_sampling)
+    with pytest.raises(ValueError, match="sample count must be >= 1"):
+        survey_ordinary(2, 10, 0.2, samples)
+
+
 def test_survey_ordinary_harder_for_smaller_eps():
     hi = survey_ordinary(2, 100, 0.2, 1500, seed=3).proportion
     lo = survey_ordinary(2, 100, 0.05, 1500, seed=3).proportion
