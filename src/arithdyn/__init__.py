@@ -9,14 +9,11 @@ its CLI (survey, cli).
 """
 
 from .rationals import (
-    Factorization,
     LogValue,
     PlaceQ,
     Rat,
-    abs_at,
     count_rationals_upto,
     factorize,
-    radical,
     weil_height,
 )
 from .polynomials import (
@@ -81,12 +78,10 @@ from .survey import (
     AdelicSet,
     OrdinaryResult,
     PrepSurveyResult,
-    RadicalStats,
     SurveyConfig,
     build_upper_adelic_set,
     classify_case,
     constants,
-    radical_stats,
     search_adelic_c,
     survey_average_prep,
     survey_ordinary,

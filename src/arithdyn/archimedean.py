@@ -163,10 +163,6 @@ class EquilibriumSample:
         if self.points.ndim != 1:
             raise ValueError("points must be a flat complex array")
 
-    def to_csv(self, path) -> None:
-        arr = np.column_stack([self.points.real, self.points.imag])
-        np.savetxt(path, arr, delimiter=",", header="re,im", comments="")
-
 
 _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)  # the cube roots of unity
 _PAIRING_TOL = 1e-10  # of each Green's function value in arch_pairing

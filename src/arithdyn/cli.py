@@ -25,6 +25,7 @@ from .survey import (
     search_adelic_c,
     survey_average_prep,
     survey_ordinary,
+    write_survey_csv,
 )
 
 USAGE_ERROR = 1
@@ -50,8 +51,10 @@ def _parse_slice(text: str) -> SliceSpec:
         raise argparse.ArgumentTypeError(f"malformed slice {text!r}: {exc}") from exc
 
 
-# Prep-survey options: refused with --kind ordinary, and given to SurveyConfig only when set.
-_PREP_ONLY = ("slice", "out", "m_cap", "n_cap")
+# Prep-survey options, given to SurveyConfig only when set; they and --out
+# are refused with --kind ordinary.
+_PREP_CONFIG = ("slice", "m_cap", "n_cap")
+_PREP_ONLY = _PREP_CONFIG + ("out",)
 
 
 def _given(args, names) -> dict:
@@ -153,6 +156,8 @@ def _run(args) -> int:
     elif args.cmd == "green":
         f = _poly_arg(args.poly)
         parts = args.z.split(",")
+        if len(parts) > 2:
+            raise ValueError(f"malformed point {args.z!r}: expected 're' or 're,im'")
         z = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
         _emit({"poly": f.to_text(), "z": [z.real, z.imag], "green": green_arch(f, z, args.tol)})
     elif args.cmd == "pairing":
@@ -175,8 +180,11 @@ def _run(args) -> int:
         _emit({"ordinary": ok, "witness": witness, "X": args.X, "eps": args.eps})
     elif args.cmd == "survey":
         if args.kind == "prep":
-            given = _given(args, ("d", "X", "samples", "eps", "seed") + _PREP_ONLY)
-            _emit(survey_average_prep(SurveyConfig(**given)).to_json())
+            given = _given(args, ("d", "X", "samples", "eps", "seed") + _PREP_CONFIG)
+            result = survey_average_prep(SurveyConfig(**given))
+            if args.out:
+                write_survey_csv(result, args.out)
+            _emit(result.to_json())
         else:
             eps = SurveyConfig.eps if args.eps is None else Fraction(args.eps)
             res = survey_ordinary(args.d, args.X, eps, args.samples, args.seed)

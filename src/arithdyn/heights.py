@@ -104,7 +104,7 @@ def canonical_height(f: MonicPoly, x: Rat, tol: float = 1e-12) -> CanonicalHeigh
     x = Fraction(x)
     finite = LogValue.zero()
     bad = f.denominator_primes()
-    for p in bad + tuple(p for p in factorize(x.denominator).primes if p not in bad):
+    for p in bad + tuple(p for p, _ in factorize(x.denominator) if p not in bad):
         q = _green_finite(f, p, x)
         if q:
             finite = finite + LogValue.of_prime(p, q)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .rationals import LogValue, PlaceQ, factorize, ord_p
+from .rationals import LogValue, PlaceQ, factorize
 
 __all__ = [
     "MonicPoly",
@@ -63,7 +63,8 @@ class MonicPoly:
     @classmethod
     def from_text(cls, text: str) -> "MonicPoly":
         powers = _parse_poly_text(text)
-        d = max(powers)
+        # The degree is that of the highest power whose terms do not cancel.
+        d = max((e for e, c in powers.items() if c), default=0)
         if d < 2:
             raise ValueError("degree must be >= 2")
         if powers[d] != 1:
@@ -125,7 +126,7 @@ class MonicPoly:
         pairs (i, m), i increasing, with |a_i|_p = p^m > 1."""
         table: Dict[int, List[Tuple[int, int]]] = {}
         for i, c in enumerate(self.coeffs):
-            for p, m in factorize(c.denominator).pairs:
+            for p, m in factorize(c.denominator):
                 table.setdefault(p, []).append((i, m))
         return {p: tuple(table[p]) for p in sorted(table)}
 
@@ -151,10 +152,6 @@ class MonicPoly:
 
     def denominator_primes(self) -> Tuple[int, ...]:
         return tuple(self._places)
-
-    def coeff_ords(self, p: int) -> List[Optional[int]]:
-        """ord_p(a_i) for i = 0..d-1, None for zero coefficients."""
-        return [None if c == 0 else ord_p(c, p) for c in self.coeffs]
 
     def explicit_good_at(self, p: int) -> bool:
         """All |a_i|_p <= 1: p has no row in the place table."""
@@ -242,7 +239,7 @@ def _arch_profile(f: MonicPoly) -> LocalProfile:
         if t[1] ** (d - r[0]) > r[1] ** (d - t[0]):
             r = t
     logs = {
-        i: LogValue(dict(factorize(abs(f.coeffs[i].numerator)).pairs)
+        i: LogValue(dict(factorize(abs(f.coeffs[i].numerator)))
                     | {p: -e for p, e in f._denominator_factors(i).items()})
         for i in {m[0], r[0]}
     }

@@ -237,9 +237,8 @@ def rational_prep(f: MonicPoly) -> List[Fraction]:
 
 
 def _divisors(n: int) -> List[int]:
-    fac = factorize(n).pairs
     divs = [1]
-    for p, e in fac:
+    for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 

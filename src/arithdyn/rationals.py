@@ -24,14 +24,11 @@ Rat = Fraction
 __all__ = [
     "Rat",
     "PlaceQ",
-    "Factorization",
     "LogValue",
     "factorize",
     "is_prime",
-    "radical",
     "ord_p",
     "weil_height",
-    "abs_at",
     "count_rationals_upto",
 ]
 
@@ -93,8 +90,10 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return g
 
 
-def factorize(n: int) -> "Factorization":
-    """Factor n >= 1: trial division up to 10^6, then Pollard rho."""
+def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Factor n >= 1 as its (prime, exponent) pairs, primes increasing and
+    exponents >= 1; factorize(1) = ().  Trial division up to 10^6, then
+    Pollard rho."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     pairs: Dict[int, int] = {}
@@ -130,44 +129,7 @@ def factorize(n: int) -> "Factorization":
                 continue
             d = _pollard_rho(m, rng)
             stack.extend((d, m // d))
-    return Factorization(tuple(sorted(pairs.items())))
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as strictly increasing (prime, exponent) pairs."""
-
-    pairs: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        ps = [p for p, _ in self.pairs]
-        if ps != sorted(set(ps)):
-            raise ValueError("primes must be strictly increasing")
-        if any(e < 1 for _, e in self.pairs):
-            raise ValueError("exponents must be >= 1")
-
-    @property
-    def primes(self) -> Tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    def radical(self) -> int:
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n; radical(1) = 1."""
-    if n < 1:
-        raise ValueError("radical expects a positive integer")
-    return factorize(n).radical()
+    return tuple(sorted(pairs.items()))
 
 
 @dataclass(frozen=True)
@@ -215,8 +177,8 @@ class LogValue:
 
     log of any positive rational is representable (factor numerator and
     denominator), as are the fractional prime powers appearing in local radii
-    like |a_j|_v^{1/(d-j)}.  Comparisons are exact: a fast float screen
-    followed, on near-ties, by an integer power comparison.
+    like |a_j|_v^{1/(d-j)}.  Values add, scale and compare for equality
+    exactly; their order is read from float(), where it is needed.
     """
 
     __slots__ = ("_c",)
@@ -247,9 +209,9 @@ class LogValue:
         if r <= 0:
             raise ValueError("log of a non-positive rational")
         c: Dict[int, Fraction] = {}
-        for p, e in factorize(r.numerator).pairs:
+        for p, e in factorize(r.numerator):
             c[p] = c.get(p, Fraction(0)) + e
-        for p, e in factorize(r.denominator).pairs:
+        for p, e in factorize(r.denominator):
             c[p] = c.get(p, Fraction(0)) - e
         return cls(c)
 
@@ -302,38 +264,6 @@ class LogValue:
     def __hash__(self):
         return hash(frozenset(self._c.items()))
 
-    def _sign(self) -> int:
-        """Exact sign of the represented real number."""
-        if not self._c:
-            return 0
-        x = float(self)
-        # Generous float screen; fall back to exact integer comparison on ties.
-        if abs(x) > 1e-9 * (1 + sum(abs(float(q)) * math.log(p) for p, q in self._c.items())):
-            return 1 if x > 0 else -1
-        lcm = 1
-        for q in self._c.values():
-            lcm = lcm * q.denominator // gcd(lcm, q.denominator)
-        a = b = 1
-        for p, q in self._c.items():
-            e = int(q * lcm)
-            if e > 0:
-                a *= p**e
-            else:
-                b *= p**(-e)
-        return (a > b) - (a < b)
-
-    def __lt__(self, other: "LogValue") -> bool:
-        return (self - other)._sign() < 0
-
-    def __le__(self, other: "LogValue") -> bool:
-        return (self - other)._sign() <= 0
-
-    def __gt__(self, other: "LogValue") -> bool:
-        return (self - other)._sign() > 0
-
-    def __ge__(self, other: "LogValue") -> bool:
-        return (self - other)._sign() >= 0
-
     def __repr__(self) -> str:
         if not self._c:
             return "LogValue(0)"
@@ -346,14 +276,6 @@ class LogValue:
             "float": float(self),
         }
 
-    @staticmethod
-    def max(*values: "LogValue") -> "LogValue":
-        best = values[0]
-        for v in values[1:]:
-            if v > best:
-                best = v
-        return best
-
 
 def weil_height(x: Rat) -> LogValue:
     """h(x) = log max(|num|, den); h(0) = 0."""
@@ -361,17 +283,6 @@ def weil_height(x: Rat) -> LogValue:
     if x == 0:
         return LogValue.zero()
     return LogValue.from_rational(max(abs(x.numerator), x.denominator))
-
-
-def abs_at(x: Rat, v: PlaceQ) -> Fraction:
-    """|x|_v as an exact rational: |x| at infinity, p^-ord_p(x) at p."""
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    if v.is_arch:
-        return abs(x)
-    e = ord_p(x, v.p)
-    return Fraction(1, v.p**e) if e >= 0 else Fraction(v.p ** (-e))
 
 
 def count_rationals_upto(X: int) -> int:

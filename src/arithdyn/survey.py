@@ -1,6 +1,6 @@
 """Statistical experiment harness: average shared-preperiodic-point counts
-over height boxes, genericity proportions, radical sums, adelic Robin
-constants, and the two closed-form constants of the height sandwich.
+over height boxes, genericity proportions, adelic Robin constants, and the
+two closed-form constants of the height sandwich.
 
 Every survey is driven by a single master seed; per-sample RNG streams are
 spawned from it, so runs are bit-reproducible and safely parallelizable.
@@ -38,7 +38,7 @@ from .polynomials import (
     sample,
 )
 from .preperiodic import CapExceeded, _shared_points, disjoint_certificate
-from .rationals import LogValue, PlaceQ, factorize
+from .rationals import LogValue, PlaceQ
 
 __all__ = [
     "SurveyConfig",
@@ -46,11 +46,10 @@ __all__ = [
     "PrepSurveyResult",
     "OrdinaryResult",
     "AdelicSet",
-    "RadicalStats",
     "survey_average_prep",
     "survey_ordinary",
     "survey_ordinary_ladder",
-    "radical_stats",
+    "write_survey_csv",
     "build_upper_adelic_set",
     "search_adelic_c",
     "constants",
@@ -73,7 +72,6 @@ class SurveyConfig:
     slice: Optional[SliceSpec] = None
     m_cap: int = 2
     n_cap: int = 1
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.samples < 1:
@@ -251,10 +249,7 @@ def survey_average_prep(cfg: SurveyConfig) -> PrepSurveyResult:
         ci_lo = ci_hi = float("nan")
     n = max(len(rows), 1)
     case_freq = {c: sum(1 for r in rows if r.case == c) / n for c in (1, 2, 3)}
-    result = PrepSurveyResult(tuple(rows), mean, ci_lo, ci_hi, case_freq, failures, cfg)
-    if cfg.out:
-        write_survey_csv(result, cfg.out)
-    return result
+    return PrepSurveyResult(tuple(rows), mean, ci_lo, ci_hi, case_freq, failures, cfg)
 
 
 def write_survey_csv(result: PrepSurveyResult, path: str) -> None:
@@ -356,71 +351,6 @@ def survey_ordinary_ladder(
                 f"vs {b.proportion} at X={b.X}"
             )
     return out
-
-
-@dataclass(frozen=True)
-class RadicalStats:
-    X: int
-    sum_inv_rad: object  # Fraction for small X, float otherwise
-    sum_inv_rad_float: float
-    smooth_denominators: int
-    small_radical_rationals: int
-    threshold_exponent: Fraction
-
-
-def _rad_sieve(X: int) -> np.ndarray:
-    rad = np.ones(X + 1, dtype=np.int64)
-    is_comp = np.zeros(X + 1, dtype=bool)
-    for p in range(2, X + 1):
-        if not is_comp[p]:
-            rad[p::p] *= p
-            is_comp[p * p :: p] = True
-    return rad
-
-
-def radical_stats(X: int, eps=Fraction(1, 5)) -> RadicalStats:
-    """Exact/float sum of 1/rad(n) up to X plus small-radical counts.
-
-    small_radical_rationals counts x with H(x) <= X whose denominator has
-    radical at most X^(1-2*eps); the comparison is exact in integers.
-    """
-    if not (1 <= X <= 10**7):
-        raise ValueError("X must be in [1, 10^7]")
-    e = _eps_fraction(eps)
-    q = 1 - 2 * e
-    rad = _rad_sieve(X)
-    if X <= 2000:
-        s: object = sum(Fraction(1, int(r)) for r in rad[1:])
-        s_float = float(s)
-    else:
-        s = float(np.sum(1.0 / rad[1:].astype(float)))
-        s_float = float(s)
-    # rad(b) <= X^q  <=>  rad(b)^q.den <= X^q.num, exact (float prefilter)
-    rhs = X**q.numerator
-    cand = np.nonzero(rad[1:].astype(float) <= X ** float(q) * 1.001)[0] + 1
-    small = [int(b) for b in cand if int(rad[b]) ** q.denominator <= rhs]
-    count = 0
-    for b in small:
-        if b == 1:
-            count += 2 * X + 1
-        else:
-            count += 2 * _coprime_count(X, int(rad[b]))
-    return RadicalStats(X, s, s_float, len(small), count, q)
-
-
-def _coprime_count(X: int, radb: int) -> int:
-    """#{1 <= a <= X : gcd(a, radb) = 1} by inclusion-exclusion."""
-    ps = factorize(radb).primes
-    total = 0
-    for mask in range(1 << len(ps)):
-        m = 1
-        bits = 0
-        for k, p in enumerate(ps):
-            if mask >> k & 1:
-                m *= p
-                bits += 1
-        total += (-1) ** bits * (X // m)
-    return total
 
 
 @dataclass(frozen=True)

@@ -248,14 +248,6 @@ def test_equilibrium_sample_inside_R(rng):
         assert np.all(np.abs(s.points) <= R + 1e-6)
 
 
-def test_sample_csv_export(tmp_path):
-    s = equilibrium_sample(Z2, 100)
-    path = tmp_path / "pts.csv"
-    s.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "re,im" and len(lines) == 2**7 + 1
-
-
 def test_moment_examples():
     N = 20000
     s = equilibrium_sample(Z2, N)

@@ -43,6 +43,13 @@ def test_green_command(capsys):
     assert abs(obj["green"] - 1.3862943611198906) < 1e-12
 
 
+def test_green_refuses_a_point_with_more_than_two_parts(capsys):
+    code, out, err = run_cli(capsys, "green", "z^2-2", "1,2,3")
+    assert (code, out) == (2, "") and "'1,2,3'" in err
+    code, out, _ = run_cli(capsys, "green", "z^2-2", "1,2")
+    assert code == 0 and json.loads(out)["z"] == [1.0, 2.0]
+
+
 def test_json_polynomial_form(capsys):
     text = '{"d": 2, "coeffs": [["-2", "1"], ["0", "1"]]}'
     code, out, _ = run_cli(capsys, "height", text, "--point", "3")

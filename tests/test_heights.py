@@ -305,8 +305,8 @@ def test_global_pairing_ordinary_exact_lower(rng):
         d = f.d
         bad_mass = LogValue.zero()
         for p in prof.bad:
-            e_f = max([F(0)] + [F(-o) for o in f.coeff_ords(p) if o is not None])
-            e_g = max([F(0)] + [F(-o) for o in g.coeff_ords(p) if o is not None])
+            e_f = max([0] + [-ord_p(c, p) for c in f.coeffs if c != 0])
+            e_g = max([0] + [-ord_p(c, p) for c in g.coeffs if c != 0])
             bad_mass = bad_mass + LogValue.of_prime(p, F(e_f + e_g, d))
         arch = (local_profile(f, PlaceQ.arch()).M + local_profile(g, PlaceQ.arch()).M) * F(1, d)
         total = (height(f) + height(g)) * F(1, d)

@@ -12,7 +12,6 @@ from arithdyn import (
     SliceSpec,
     StrataHypothesisError,
     SurveyConfig,
-    abs_at,
     classify_case,
     classify_places,
     count_rationals_upto,
@@ -22,7 +21,6 @@ from arithdyn import (
     julia_shells,
     local_profile,
     mass_outside_unit,
-    radical_stats,
     sample,
     sample_rational,
     strata,
@@ -41,6 +39,11 @@ def test_parse_and_format():
         MonicPoly.from_text("2z^2 + 1")
     with pytest.raises(ValueError):
         MonicPoly.from_text("z + 1")
+    # The degree is that of the highest power whose terms do not cancel.
+    assert MonicPoly.from_text("z^2+0z^3+1") == MonicPoly.from_text("z^2+1")
+    assert MonicPoly.from_text("z^3-z^3+z^2") == MonicPoly.make(2)
+    with pytest.raises(ValueError, match="degree"):
+        MonicPoly.from_text("z^3-z^3")
 
 
 def test_json_roundtrip():
@@ -110,12 +113,10 @@ def test_is_ordinary_preconditions():
 
 @pytest.mark.parametrize("eps", [0.3, 0.25, F(1, 4), 0, -0.1, "1/2"])
 def test_eps_outside_the_open_quarter_is_rejected(eps):
-    """is_ordinary, radical_stats and SurveyConfig share one range, 0 < eps < 1/4."""
+    """is_ordinary and SurveyConfig share one range, 0 < eps < 1/4."""
     f, g = MonicPoly.from_text("z^2+1/5"), MonicPoly.from_text("z^2+(1/7)z+1/11")
     with pytest.raises(ValueError, match="eps"):
         is_ordinary(f, g, 11, eps)
-    with pytest.raises(ValueError, match="eps"):
-        radical_stats(20, eps)
     with pytest.raises(ValueError, match="eps"):
         SurveyConfig(d=2, X=11, samples=1, eps=eps)
     assert is_ordinary(f, g, 11, 0.2) == is_ordinary(f, g, 11, "1/5") == (True, None)
@@ -251,7 +252,7 @@ _polys = st.integers(2, 5).flatmap(
 
 def _large(f, p):
     """(i, log_p |a_i|_p) for the coefficients with |a_i|_p > 1."""
-    return [(i, -_ord(c, p)) for i, c in enumerate(f.coeffs) if c != 0 and abs_at(c, PlaceQ(p)) > 1]
+    return [(i, -_ord(c, p)) for i, c in enumerate(f.coeffs) if c != 0 and _ord(c, p) < 0]
 
 
 def _radii(f, p):
@@ -282,15 +283,20 @@ def test_place_table_consumers_match_coefficient_definitions(polys):
         assert f.denominator_primes() == primes
         total = LogValue.zero()
         for v in [PlaceQ.arch()] + [PlaceQ(p) for p in _PRIMES]:
-            M = LogValue.from_rational(max([F(1)] + [abs_at(c, v) for c in f.coeffs]))
+            if v.is_arch:
+                M = LogValue.from_rational(max([F(1)] + [abs(c) for c in f.coeffs]))
+            else:
+                M = LogValue.of_prime(v.p, max([0] + [m for _, m in _large(f, v.p)]))
             assert local_profile(f, v).M == M
             total = total + M
             if v.is_arch:
-                r = LogValue.max(LogValue.zero(), *[
+                # log R - log 3 is one of 0 and log|a_i| / (d - i), the largest:
+                # distinct candidates are far apart, so their floats order them.
+                candidates = [LogValue.zero()] + [
                     LogValue.from_rational(abs(c)) * F(1, f.d - i)
                     for i, c in enumerate(f.coeffs) if c != 0
-                ])
-                assert local_profile(f, v).R == LogValue.of_prime(3) + r
+                ]
+                assert local_profile(f, v).R == LogValue.of_prime(3) + max(candidates, key=float)
                 continue
             r = max([F(0)] + [F(m, f.d - i) for i, m in _large(f, v.p)])
             assert local_profile(f, v).R == LogValue.of_prime(v.p, r)
@@ -306,6 +312,8 @@ def test_place_table_consumers_match_coefficient_definitions(polys):
         cert = disjoint_certificate(f, g)
         assert (cert and cert.p) == witness
         assert (classify_case(f, g) == 1) == (cert is not None)
+        assert classify_case(f, g) == classify_case(g, f)
+        assert disjoint_certificate(f, g) == disjoint_certificate(g, f)
         prof = classify_places(f, g)
         for p in _PRIMES:
             large = [("f", i) for i, _ in _large(f, p)] + [("g", i) for i, _ in _large(g, p)]

@@ -84,3 +84,43 @@ def test_all_lists_name_only_what_their_modules_define():
         if node.level != 1 or alias.name not in (layers.get(node.module) or ())
     ]
     assert not unlisted, unlisted
+
+
+# Public functions that may wait for a caller, each with its reason.
+_CALLER_PENDING = {
+    # ROADMAP direction 1: the exact disjointness certificate will call it.
+    "newton_polygon",
+}
+
+
+def _identifiers(nodes) -> set:
+    """The names that `nodes` use as identifiers: each Name and Attribute, not
+    text in strings or comments."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def test_every_public_function_has_a_caller():
+    # A caller is the pipeline, the CLI, scripts/, benchmark/ or the
+    # acceptance suite, not the function's own tests.
+    root = SRC.parent.parent
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    callers = [*root.joinpath("scripts").rglob("*.py"), *root.joinpath("benchmark").rglob("*.py"),
+               root / "tests" / "test_acceptance.py"]
+    outside = _identifiers(ast.parse(path.read_text()) for path in callers)
+    uncalled = []
+    for path, tree in trees.items():
+        public = _exports(tree) or ()
+        others = _identifiers(t for p, t in trees.items() if p != path)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                own = _identifiers(n for n in tree.body if n is not node)
+                if node.name not in outside | others | own | _CALLER_PENDING:
+                    uncalled.append(f"{path.stem}.{node.name}")
+    assert not uncalled, uncalled

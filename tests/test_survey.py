@@ -13,14 +13,12 @@ from arithdyn import (
     build_upper_adelic_set,
     classify_case,
     constants,
-    radical_stats,
     search_adelic_c,
     survey_average_prep,
     survey_ordinary,
     survey_ordinary_ladder,
 )
-from arithdyn.rationals import radical
-from arithdyn.survey import _clopper_pearson
+from arithdyn.survey import _clopper_pearson, write_survey_csv
 from conftest import heavy_modules_loaded
 
 
@@ -59,9 +57,9 @@ def test_classify_case_examples():
 
 def test_survey_prep_reproducible_and_csv(tmp_path):
     out = tmp_path / "rows.csv"
-    cfg = SurveyConfig(d=2, X=8, samples=60, seed=5, out=str(out))
-    res1 = survey_average_prep(cfg)
+    res1 = survey_average_prep(SurveyConfig(d=2, X=8, samples=60, seed=5))
     res2 = survey_average_prep(SurveyConfig(d=2, X=8, samples=60, seed=5))
+    write_survey_csv(res1, str(out))
     assert res1.rows == res2.rows
     assert res1.mean == res2.mean and (res1.ci_lo, res1.ci_hi) == (res2.ci_lo, res2.ci_hi)
     with open(out) as fh:
@@ -144,37 +142,6 @@ def test_ordinary_interval_is_clopper_pearson(k, n):
         assert abs(hi - (1 - 0.025 ** (1 / 100))) < 1e-9  # about 0.03622
 
 
-def test_radical_stats_exact_small():
-    rs = radical_stats(10)
-    expected = (
-        F(1) + F(1, 2) + F(1, 3) + F(1, 2) + F(1, 5)
-        + F(1, 6) + F(1, 7) + F(1, 2) + F(1, 3) + F(1, 10)
-    )
-    assert rs.sum_inv_rad == expected
-
-
-def test_radical_stats_growth_ladder():
-    ratios = []
-    for X in (10**2, 10**4, 10**6):
-        rs = radical_stats(X)
-        ratios.append(math.log(rs.sum_inv_rad_float) / math.log(X))
-    assert ratios[0] > ratios[1] > ratios[2]
-
-
-def test_radical_squarefree_identity():
-    for n in (1, 2, 6, 30, 210, 1155):
-        assert radical(n) == n
-
-
-def test_radical_stats_count_consistency():
-    rs = radical_stats(20, eps=F(1, 5))
-    # threshold X^(3/5) ~ 6.03: denominators with radical <= 6
-    assert rs.smooth_denominators == len(
-        [b for b in range(1, 21) if radical(b) ** 5 <= 20**3]
-    )
-    assert rs.small_radical_rationals > 0
-
-
 def test_adelic_set_thresholds_and_robin():
     d, X = 8, 10**4
     f = MonicPoly.make(d, {0: F(1, 9973), 1: F(1, 9967)})
@@ -231,7 +198,8 @@ def test_constants_does_not_import_scipy():
 def test_survey_prep_reports_inconclusive_rows(tmp_path):
     # 6^5 exceeds the degree budget, so every pair outside case 1 is inconclusive.
     out = tmp_path / "rows.csv"
-    res = survey_average_prep(SurveyConfig(d=6, X=5, samples=20, seed=1, m_cap=5, out=str(out)))
+    res = survey_average_prep(SurveyConfig(d=6, X=5, samples=20, seed=1, m_cap=5))
+    write_survey_csv(res, str(out))
     inconclusive = [r.case != 1 for r in res.rows]
     assert [r.inconclusive for r in res.rows] == inconclusive
     assert res.to_json()["inconclusive"] == sum(inconclusive) > 0
